@@ -1,15 +1,20 @@
 """Command line interface: output files, formats, exit codes."""
 
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from levelcross.cli import main
+from levelcross.cli import _write_trajectories_csv, main
 from levelcross.eigensolve import SolverError
-from levelcross.model import load_scenario, save_scenario
+from levelcross.model import SweepGrid, load_scenario, save_scenario
 from levelcross.presets import preset
+from levelcross.svgplot import energies_svg, widths_svg
+from levelcross.sweep import run_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -231,3 +236,155 @@ def test_golden_csv_regression(tmp_path):
         assert got_header == want_header
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# whole-array output formatting against the per-value reference formatters
+
+SPECIALS = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300, -1e300]
+ROUNDING = [0.125, 0.375, 0.625, 0.875, 1.005, 2.675, 0.015, 1.0 / 3.0, -2.5e-17]
+
+
+def reference_csv(result) -> bytes:
+    branches = result.trajectories
+    n = len(branches)
+    head = (
+        ["a"]
+        + [f"E_{k + 1}" for k in range(n)]
+        + [f"Gamma_half_{k + 1}" for k in range(n)]
+        + [f"A_{k + 1}" for k in range(n)]
+    )
+    cols = (
+        [result.a]
+        + [b.energy for b in branches]
+        + [b.gamma_half for b in branches]
+        + [b.norm_a for b in branches]
+    )
+    lines = [",".join(head)]
+    for k in range(result.a.size):
+        lines.append(",".join(f"{col[k]:.17g}" for col in cols))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_points(result, branch_rows, bare_rows) -> list[str]:
+    """points attributes of one panel, bare rows first, one value at a time."""
+    a = result.a
+    x_lo, x_hi = float(a[0]), float(a[-1])
+    stack = np.concatenate([np.asarray(r, dtype=float) for r in branch_rows + bare_rows])
+    finite = stack[np.isfinite(stack)]
+    y_lo, y_hi = float(finite.min()), float(finite.max())
+    if y_hi - y_lo < 1e-12:
+        pad = max(abs(y_hi), 1.0) * 0.05
+    else:
+        pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    px0, px1, py0, py1 = 72, 760 - 148, 34, 420 - 46
+
+    def sx(v):
+        return px0 + (v - x_lo) / (x_hi - x_lo) * (px1 - px0)
+
+    def sy(v):
+        return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
+
+    return [
+        " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(a, row))
+        for row in bare_rows + branch_rows
+    ]
+
+
+def assert_svg_points_match(result):
+    bare = result.bare
+    panels = (
+        (
+            energies_svg(result),
+            [t.energy for t in result.trajectories],
+            [bare[:, i].real for i in range(bare.shape[1])],
+        ),
+        (
+            widths_svg(result),
+            [t.gamma_half for t in result.trajectories],
+            [-bare[:, i].imag for i in range(bare.shape[1])],
+        ),
+    )
+    for svg, branch_rows, bare_rows in panels:
+        got = re.findall(r'points="([^"]*)"', svg)
+        assert got == reference_points(result, branch_rows, bare_rows)
+
+
+def hand_made_result(a, energies, widths, norms, bare):
+    trajectories = tuple(
+        SimpleNamespace(energy=np.array(e), gamma_half=np.array(g), norm_a=np.array(n))
+        for e, g, n in zip(energies, widths, norms)
+    )
+    return SimpleNamespace(
+        scenario=SimpleNamespace(label="hand-made"),
+        a=np.array(a),
+        trajectories=trajectories,
+        bare=np.array(bare, dtype=complex),
+    )
+
+
+def hand_made_results():
+    m = len(SPECIALS)
+    specials = hand_made_result(
+        np.linspace(0.0, 1.0, m),
+        [SPECIALS, SPECIALS[::-1]],
+        [ROUNDING[:m], SPECIALS[2:] + SPECIALS[:2]],
+        [SPECIALS[::2] + SPECIALS[1::2], ROUNDING[-m:]],
+        np.column_stack([np.linspace(-1.0, 1.0, m), np.full(m, 0.25 - 0.5j)]),
+    )
+    # x pixels 72 + a land on two-decimal ties such as 72.125
+    a = [0.0] + ROUNDING[:4] + [540.0]
+    m = len(a)
+    rounding = hand_made_result(
+        a,
+        [ROUNDING[:m], ROUNDING[-m:]],
+        [ROUNDING[2 : 2 + m], [0.5] * m],
+        [[1.0] * m, ROUNDING[1 : 1 + m]],
+        np.column_stack([np.full(m, -0.0 - 0.0j), np.full(m, 1.0 - 0.125j)]),
+    )
+    # pixels near two-decimal ties on both axes, where a change in the
+    # order of the scaling operations shows in the rounded text
+    ties = (np.arange(2000) * 27 + 0.5) / 100.0       # 0.005 ... 539.735
+    x_lo, x_hi, y_lo, y_hi = 0.3, 1.7, -1.12, 2.12    # data span [-1, 2], 4% pad
+    a = np.concatenate(([x_lo], x_lo + ties / 540 * (x_hi - x_lo), [x_hi]))
+    m = a.size
+    py = 50.0 + ties[np.arange(m) % ties.size] % 310.0
+    y = y_lo + (374.0 - py) / 340.0 * (y_hi - y_lo)
+    near_ties = hand_made_result(
+        a,
+        [y, y[::-1]],
+        [y[::-1], y],
+        [np.ones(m), np.ones(m)],
+        np.column_stack([np.linspace(-1.0, 2.0, m), np.full(m, 0.5 - 0.5j)]),
+    )
+    return [specials, rounding, near_ties]
+
+
+def sweep_2001(pid):
+    scenario = preset(pid)
+    grid = SweepGrid(scenario.sweep.a_min, scenario.sweep.a_max, 2001)
+    return run_sweep(replace(scenario, sweep=grid))
+
+
+@pytest.mark.parametrize("pid", ["fig4", "fig9"])
+def test_csv_rows_match_the_per_value_formatter(tmp_path, pid):
+    result = sweep_2001(pid)
+    _write_trajectories_csv(tmp_path / "t.csv", result)
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(result)
+
+
+def test_csv_rows_match_the_per_value_formatter_on_special_values(tmp_path):
+    for k, result in enumerate(hand_made_results()):
+        _write_trajectories_csv(tmp_path / f"{k}.csv", result)
+        assert (tmp_path / f"{k}.csv").read_bytes() == reference_csv(result)
+
+
+@pytest.mark.parametrize("pid", ["fig4", "fig9"])
+def test_svg_points_match_the_per_value_formatter(pid):
+    assert_svg_points_match(sweep_2001(pid))
+
+
+def test_svg_points_match_the_per_value_formatter_on_special_values():
+    for result in hand_made_results():
+        assert_svg_points_match(result)
