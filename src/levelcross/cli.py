@@ -20,6 +20,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .eigensolve import DEFECTIVE_RTOL, ROOT_MAX_ITER, ROOT_RTOL, SolverError
 from .epfinder import GAP_TOL, MAX_REFINE_ITER, SCAN_POINTS, find_ep
@@ -30,6 +32,8 @@ from .svgplot import energies_svg, widths_svg
 from .sweep import CROSSING_TOL, detect_crossings, run_sweep
 
 __all__ = ["main"]
+
+CSV_BLOCK_ROWS = 1024     # rows formatted per write; bounds the text held at once
 
 
 class _UsageError(Exception):
@@ -169,16 +173,18 @@ def _write_trajectories_csv(path: Path, result) -> None:
         + [f"Gamma_half_{k + 1}" for k in range(n)]
         + [f"A_{k + 1}" for k in range(n)]
     )
-    cols = (
+    table = np.column_stack(
         [result.a]
         + [b.energy for b in branches]
         + [b.gamma_half for b in branches]
         + [b.norm_a for b in branches]
     )
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(head) + "\n")
-        for k in range(result.a.size):
-            fh.write(",".join(f"{col[k]:.17g}" for col in cols) + "\n")
+        for lo in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            block = table[lo : lo + CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _manifest(command, scenario, outputs, started, extra=None) -> dict:

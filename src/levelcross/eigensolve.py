@@ -83,6 +83,14 @@ class RootConvergenceError(SolverError):
 class BiorthogonalityError(SolverError):
     """Well-separated eigenvectors failed v_i . v_j ~ 0; a solver bug."""
 
+    def __init__(self, batch_index: int, overlap: float):
+        super().__init__(
+            f"bilinear overlap {overlap:.3e} for well-separated eigenpairs "
+            f"(batch index {batch_index})"
+        )
+        self.batch_index = batch_index
+        self.overlap = overlap
+
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial (Faddeev-LeVerrier trace recursion)
@@ -520,11 +528,10 @@ def solve_spectrum_batch(h: np.ndarray, verify: bool = True) -> SpectrumBatch:
             & regular[:, :, None]
             & regular[:, None, :]
         )
-        worst = np.where(checked, overlap, 0.0).max()
-        if worst >= BIORTH_TOL:
-            raise BiorthogonalityError(
-                f"bilinear overlap {worst:.3e} for well-separated eigenpairs"
-            )
+        worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
+        k = int(np.argmax(worst))
+        if worst[k] >= BIORTH_TOL:
+            raise BiorthogonalityError(k, float(worst[k]))
 
     return SpectrumBatch(
         values=values,
@@ -577,9 +584,7 @@ def normalize_biorthogonal(spectrum: Spectrum) -> Spectrum:
     checked[idx, idx] = False
     worst = np.where(checked, overlap, 0.0).max() if n > 1 else 0.0
     if worst >= BIORTH_TOL:
-        raise BiorthogonalityError(
-            f"bilinear overlap {worst:.3e} for well-separated eigenpairs"
-        )
+        raise BiorthogonalityError(0, float(worst))
     pairs = tuple(
         replace(pair, norm_a=float(norm_a[i]), cross_norms=cross[i].copy())
         for i, pair in enumerate(spectrum.pairs)

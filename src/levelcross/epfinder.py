@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .eigensolve import eigenvalues_batch, solve_spectrum_batch
+from .eigensolve import (
+    BiorthogonalityError,
+    RootConvergenceError,
+    SolverError,
+    eigenvalues_batch,
+    solve_spectrum_batch,
+)
 from .model import Scenario, ScenarioError, Tunable, build_hamiltonian_batch
 
 GAP_TOL = 1e-8            # coalescence detection threshold
@@ -83,7 +89,13 @@ def probe_norm_blowup(
             h = build_hamiltonian_batch(
                 scenario, [xa + da], tunable=tunable, value=xt + dt
             )
-            spectrum = solve_spectrum_batch(h)
+            try:
+                spectrum = solve_spectrum_batch(h)
+            except (RootConvergenceError, BiorthogonalityError) as err:
+                raise SolverError(
+                    f"eigensolver failed at probe point (a, value)="
+                    f"({xa + da!r}, {xt + dt!r}): {err}"
+                ) from err
             if not spectrum.defective.any():
                 worst = max(worst, float(spectrum.norm_a.max()))
                 break

@@ -63,7 +63,8 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
         return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
     def poly(xs, ys, style):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        xy = np.column_stack((sx(np.asarray(xs)), sy(np.asarray(ys))))
+        pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
         return f'<polyline fill="none" {style} points="{pts}"/>'
 
     parts = [

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolve import (
+    BiorthogonalityError,
     RootConvergenceError,
     SolverError,
     Spectrum,
@@ -168,7 +169,7 @@ def _solve_grid(scenario, a, tunable, value, workers):
         )
         try:
             return solve_spectrum_batch(h)
-        except RootConvergenceError as err:
+        except (RootConvergenceError, BiorthogonalityError) as err:
             raise SolverError(
                 f"eigensolver failed at grid point a={float(a[lo + err.batch_index])!r}: {err}"
             ) from err
@@ -273,17 +274,29 @@ def run_sweep(
 
 def _runs(mask: np.ndarray):
     """Maximal runs of True as (start, stop) index pairs, stop inclusive."""
-    out = []
-    k = 0
-    m = mask.shape[0]
-    while k < m:
-        if mask[k]:
-            start = k
-            while k + 1 < m and mask[k + 1]:
-                k += 1
-            out.append((start, k))
-        k += 1
-    return out
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def _valleys(depth: np.ndarray, tol: float):
+    """Strict three-point local minima k of depth, not at or below tol,
+    as (k, lo, hi); the valley [lo, hi] extends outward from k for as
+    long as depth does not fall."""
+    m = depth.shape[0]
+    inner = depth[1:-1]
+    minima = 1 + np.flatnonzero((inner < depth[:-2]) & (inner < depth[2:]) & ~(inner <= tol))
+    index = np.arange(m)
+    # a walk leftward stops at p when depth[p - 1] >= depth[p] fails,
+    # a walk rightward at p when depth[p + 1] >= depth[p] fails
+    left_stop = np.ones(m, dtype=bool)
+    left_stop[1:] = ~(depth[:-1] >= depth[1:])
+    right_stop = np.ones(m, dtype=bool)
+    right_stop[:-1] = ~(depth[1:] >= depth[:-1])
+    lo = np.maximum.accumulate(np.where(left_stop, index, 0))
+    hi = np.minimum.accumulate(np.where(right_stop, index, m - 1)[::-1])[::-1]
+    return list(zip(minima.tolist(), lo[minima].tolist(), hi[minima].tolist()))
 
 
 def _end_levels(result: SweepResult) -> np.ndarray:
@@ -354,17 +367,7 @@ def detect_crossings(result: SweepResult, tol: float = CROSSING_TOL):
                     )
                 )
 
-            for k in range(1, a.shape[0] - 1):
-                if not (abs_de[k] < abs_de[k - 1] and abs_de[k] < abs_de[k + 1]):
-                    continue
-                if abs_de[k] <= tol:
-                    continue
-                lo = k
-                while lo > 0 and abs_de[lo - 1] >= abs_de[lo]:
-                    lo -= 1
-                hi = k
-                while hi < a.shape[0] - 1 and abs_de[hi + 1] >= abs_de[hi]:
-                    hi += 1
+            for k, lo, hi in _valleys(abs_de, tol):
                 dew = de[lo : hi + 1]
                 if not ((dew > 0).all() or (dew < 0).all()):
                     continue  # energy difference changes sign: not avoided

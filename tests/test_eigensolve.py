@@ -15,6 +15,7 @@ from levelcross.eigensolve import (
     EPS,
     GAP_GUARD,
     Spectrum,
+    _canonicalize,
     char_poly,
     char_poly_batch,
     eig_small,
@@ -239,6 +240,20 @@ def test_biorthogonality_of_separated_pairs():
     regular = ~batch.defective
     checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
     assert np.where(checked, overlap, 0.0).max() < BIORTH_TOL
+
+
+def test_biorthogonality_error_names_the_batch_index(monkeypatch):
+    def spoil_second_matrix(vectors, defective):
+        vectors = _canonicalize(vectors, defective).copy()
+        vectors[1, 1] = vectors[1, 0]  # duplicate direction in matrix 1 only
+        return vectors
+
+    monkeypatch.setattr("levelcross.eigensolve._canonicalize", spoil_second_matrix)
+    h = random_symmetric(np.random.default_rng(62), 3, m=3)
+    with pytest.raises(BiorthogonalityError, match=r"\(batch index 1\)") as info:
+        solve_spectrum_batch(h)
+    assert info.value.batch_index == 1
+    assert info.value.overlap >= BIORTH_TOL
 
 
 def test_values_sorted_by_real_then_imag():

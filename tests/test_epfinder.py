@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from levelcross.eigensolve import BiorthogonalityError, SolverError
 from levelcross.epfinder import (
     EPReport,
     coalescence_gap,
@@ -124,6 +125,17 @@ def test_norm_blowup_grows_toward_the_coalescence():
         for k in range(4)
     ]
     assert all(lo < hi for lo, hi in zip(seq, seq[1:]))
+
+
+def test_probe_failure_names_the_probe_point(monkeypatch):
+    def explode(h, verify=True):
+        raise BiorthogonalityError(0, 1.058e-08)
+
+    monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", explode)
+    with pytest.raises(
+        SolverError, match=r"probe point \(a, value\)=\(0\.5625, 0\.6\): bilinear overlap"
+    ):
+        probe_norm_blowup(two_level_constant(), TUNE_G2, (0.5, 0.6), (0.0625, 0.25))
 
 
 def test_find_ep_is_deterministic():

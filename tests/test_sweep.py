@@ -1,9 +1,12 @@
 """Branch tracking and crossing classification on designed scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from levelcross.eigensolve import (
+    BiorthogonalityError,
     RootConvergenceError,
     SolverError,
     eig_small,
@@ -18,7 +21,8 @@ from levelcross.model import (
     Tunable,
     build_hamiltonian_batch,
 )
-from levelcross.sweep import detect_crossings, match_branches, run_sweep
+from levelcross.presets import PRESET_IDS, preset
+from levelcross.sweep import _runs, _valleys, detect_crossings, match_branches, run_sweep
 
 
 def scenario(
@@ -217,6 +221,17 @@ def test_solver_error_names_the_grid_point(monkeypatch):
         run_sweep(sc)
 
 
+def test_biorthogonality_error_names_the_grid_point(monkeypatch):
+    sc = scenario(["1 - a/2", "a"], [0.5, 0.5], grid=(0.0, 1.5, 151))
+
+    def explode(h, verify=True):
+        raise BiorthogonalityError(3, 1.168e-08)
+
+    monkeypatch.setattr("levelcross.sweep.solve_spectrum_batch", explode)
+    with pytest.raises(SolverError, match=r"grid point a=0\.03: bilinear overlap 1\.168e-08"):
+        run_sweep(sc)
+
+
 def test_tunable_override_reaches_branches():
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
     res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=0.7)
@@ -275,3 +290,90 @@ def test_by_start_level_lookup():
         res.by_start_level(5)
     assert len(res) == 2
     assert res[0] is res.trajectories[0]
+
+
+# ---------------------------------------------------------------------------
+# whole-array crossing scan against the per-point loops
+
+
+def reference_runs(mask):
+    out = []
+    k = 0
+    m = mask.shape[0]
+    while k < m:
+        if mask[k]:
+            start = k
+            while k + 1 < m and mask[k + 1]:
+                k += 1
+            out.append((start, k))
+        k += 1
+    return out
+
+
+def reference_valleys(depth, tol):
+    out = []
+    m = depth.shape[0]
+    for k in range(1, m - 1):
+        if not (depth[k] < depth[k - 1] and depth[k] < depth[k + 1]):
+            continue
+        if depth[k] <= tol:
+            continue
+        lo = k
+        while lo > 0 and depth[lo - 1] >= depth[lo]:
+            lo -= 1
+        hi = k
+        while hi < m - 1 and depth[hi + 1] >= depth[hi]:
+            hi += 1
+        out.append((k, lo, hi))
+    return out
+
+
+def scan_inputs():
+    """Seeded arrays with plateaus, monotone stretches, nan entries and
+    lengths from 1 up."""
+    rng = np.random.default_rng(20121)
+    arrays = [
+        np.array([0.5]),
+        np.array([0.5, 0.2]),
+        np.array([0.5, 0.2, 0.5]),
+        np.array([0.2, 0.2, 0.2]),
+        np.array([0.5, np.nan, 0.5]),
+        np.arange(40.0),
+        np.arange(40.0)[::-1].copy(),
+        np.full(25, 0.3),
+    ]
+    for _ in range(300):
+        m = int(rng.integers(1, 60))
+        depth = rng.integers(0, 5, size=m) * 0.25     # coarse levels: many plateaus
+        if rng.random() < 0.5:
+            depth = depth + rng.random(m) * 1e-3
+        if rng.random() < 0.3:
+            depth[rng.random(m) < 0.1] = np.nan
+        arrays.append(depth)
+    return arrays
+
+
+def test_runs_match_the_per_point_loop():
+    rng = np.random.default_rng(7)
+    masks = [np.zeros(m, dtype=bool) for m in (1, 2, 3, 17)]
+    masks += [np.ones(m, dtype=bool) for m in (1, 2, 3, 17)]
+    masks += [rng.random(int(rng.integers(1, 60))) < p for p in np.linspace(0, 1, 200)]
+    masks += [depth < 0.5 for depth in scan_inputs()]
+    for mask in masks:
+        assert _runs(mask) == reference_runs(mask)
+
+
+def test_valleys_match_the_per_point_walk():
+    for depth in scan_inputs():
+        for tol in (-1.0, 0.0, 0.25, 0.6, 2.0):
+            assert _valleys(depth, tol) == reference_valleys(depth, tol)
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_detect_crossings_matches_the_per_point_scan(pid, monkeypatch):
+    sc = preset(pid)
+    res = run_sweep(replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 2001)))
+    events = detect_crossings(res)
+    monkeypatch.setattr("levelcross.sweep._runs", reference_runs)
+    monkeypatch.setattr("levelcross.sweep._valleys", reference_valleys)
+    assert detect_crossings(res) == events
