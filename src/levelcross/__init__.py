@@ -11,9 +11,7 @@ from .model import (
     ScenarioError,
     SweepGrid,
     Tunable,
-    build_hamiltonian,
     build_hamiltonian_batch,
-    coupling_at,
     level_energies,
     load_scenario,
     save_scenario,
@@ -23,17 +21,11 @@ from .model import (
 )
 from .eigensolve import (
     BiorthogonalityError,
-    EigenPair,
     RootConvergenceError,
     SolverError,
-    Spectrum,
     SpectrumBatch,
-    char_poly,
     char_poly_batch,
-    eig_small,
     eigenvalues_batch,
-    normalize_biorthogonal,
-    poly_roots,
     poly_roots_batch,
     solve_spectrum_batch,
 )
@@ -43,7 +35,6 @@ from .sweep import (
     SweepResult,
     Trajectory,
     detect_crossings,
-    match_branches,
     run_sweep,
 )
 from .presets import PRESET_IDS, export_presets, preset
@@ -62,9 +53,7 @@ __all__ = [
     "ScenarioError",
     "SweepGrid",
     "Tunable",
-    "build_hamiltonian",
     "build_hamiltonian_batch",
-    "coupling_at",
     "level_energies",
     "load_scenario",
     "save_scenario",
@@ -72,17 +61,11 @@ __all__ = [
     "scenario_to_dict",
     "with_profile",
     "BiorthogonalityError",
-    "EigenPair",
     "RootConvergenceError",
     "SolverError",
-    "Spectrum",
     "SpectrumBatch",
-    "char_poly",
     "char_poly_batch",
-    "eig_small",
     "eigenvalues_batch",
-    "normalize_biorthogonal",
-    "poly_roots",
     "poly_roots_batch",
     "solve_spectrum_batch",
     "NoEPSolution",
@@ -92,7 +75,6 @@ __all__ = [
     "SweepResult",
     "Trajectory",
     "detect_crossings",
-    "match_branches",
     "run_sweep",
     "PRESET_IDS",
     "export_presets",

@@ -45,16 +45,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_scenario_flags(sub, profile=True):
+def _add_scenario_flags(sub):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=PRESET_IDS, help="bundled scenario id")
     source.add_argument("--scenario", metavar="PATH", help="scenario JSON file")
-    if profile:
-        sub.add_argument(
-            "--profile",
-            choices=("constant", "gaussian"),
-            help="coupling profile override (presets fig1, fig2, fig3 only)",
-        )
+    sub.add_argument(
+        "--profile",
+        choices=("constant", "gaussian"),
+        help="coupling profile override (presets fig1, fig2, fig3 only)",
+    )
     sub.add_argument("--out", default="out", metavar="DIR", help="output directory")
 
 

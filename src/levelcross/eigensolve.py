@@ -4,7 +4,8 @@ The route is characteristic polynomial -> simultaneous root iteration
 -> null vectors, not QR: it is deterministic, dependency-free, and easy
 to check against the two-level closed form. Everything is vectorized
 over a leading batch axis so a whole parameter sweep solves in a few
-numpy passes; the single-matrix helpers are thin wrappers.
+numpy passes. There is no single-matrix API: one matrix is a batch of
+length one.
 
 Complex-symmetric structure is exploited throughout: left eigenvectors
 are transposes of right eigenvectors, so the natural normalization is
@@ -24,7 +25,7 @@ noise level and coalescence could never be detected cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +40,11 @@ __all__ = [
     "SolverError",
     "RootConvergenceError",
     "BiorthogonalityError",
-    "EigenPair",
-    "Spectrum",
     "SpectrumBatch",
-    "char_poly",
     "char_poly_batch",
-    "poly_roots",
     "poly_roots_batch",
     "eigenvalues_batch",
     "solve_spectrum_batch",
-    "eig_small",
-    "normalize_biorthogonal",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -116,11 +111,6 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def char_poly(h: np.ndarray) -> np.ndarray:
-    """Single-matrix characteristic polynomial, ascending coefficients."""
-    return char_poly_batch(np.asarray(h, dtype=complex)[None, :, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # polynomial evaluation with running error bounds
 
@@ -140,9 +130,9 @@ def _horner(coeffs: np.ndarray, z: np.ndarray, order: int = 1):
     return p, dp
 
 
-def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
-    """Evaluation noise floors: 8n*eps * sum_k |c_k| r^k (and the
-    derivative analogue), the scale below which p(z) is numerically zero."""
+def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray):
+    """Evaluation noise floors of p and p': 8n*eps * sum_k |c_k| r^k and
+    its derivative analogue, the scale below which p(z) is numerically zero."""
     n = coeffs.shape[1] - 1
     acs = np.abs(coeffs)
     b0 = np.broadcast_to(acs[:, n, None], zabs.shape).copy()
@@ -151,9 +141,7 @@ def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
         b1 = b1 * zabs + b0
         b0 = b0 * zabs + acs[:, j, None]
     scale = 8.0 * n * EPS
-    if order >= 1:
-        return scale * b0, scale * b1
-    return scale * b0
+    return scale * b0, scale * b1
 
 
 def _pair_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -254,12 +242,6 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 def _sort_values(values: np.ndarray) -> np.ndarray:
     """Batch argsort by (Re, Im); returns index array (m, n)."""
     return np.lexsort((values.imag, values.real), axis=1)
-
-
-def poly_roots(coeffs) -> np.ndarray:
-    """Roots of a single monic polynomial, sorted by (Re, Im)."""
-    roots = poly_roots_batch(np.asarray(coeffs, dtype=complex)[None, :])[0]
-    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 # ---------------------------------------------------------------------------
@@ -365,52 +347,6 @@ def _repair_degenerate(values, vectors, h, points):
 # assembled spectra
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue E - i*Gamma/2 with its eigenvector and observables."""
-
-    value: complex
-    vector: np.ndarray
-    defective: bool
-    norm_a: float | None = None        # A_i = sum |v_j|^2 (>= 1 when filled)
-    cross_norms: np.ndarray | None = None  # |B_i^j|, self entry 0
-
-    @property
-    def energy(self) -> float:
-        return self.value.real
-
-    @property
-    def gamma_half(self) -> float:
-        return -self.value.imag
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    pairs: tuple
-    residual: float
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __getitem__(self, k):
-        return self.pairs[k]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.pairs])
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return np.stack([p.vector for p in self.pairs])
-
-    @property
-    def defective(self) -> np.ndarray:
-        return np.array([p.defective for p in self.pairs])
-
-
-@dataclass(frozen=True)
 class SpectrumBatch:
     """Spectra over a parameter batch, sorted by (Re, Im) per point.
 
@@ -428,19 +364,6 @@ class SpectrumBatch:
 
     def __len__(self):
         return self.values.shape[0]
-
-    def at(self, point: int) -> Spectrum:
-        pairs = tuple(
-            EigenPair(
-                value=complex(self.values[point, i]),
-                vector=self.vectors[point, i].copy(),
-                defective=bool(self.defective[point, i]),
-                norm_a=float(self.norm_a[point, i]),
-                cross_norms=self.cross_norms[point, i].copy(),
-            )
-            for i in range(self.values.shape[1])
-        )
-        return Spectrum(pairs=pairs, residual=float(self.residual[point]))
 
 
 def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
@@ -477,12 +400,12 @@ def _canonicalize(vectors, defective):
     return vectors
 
 
-def solve_spectrum_batch(h: np.ndarray, verify: bool = True) -> SpectrumBatch:
+def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     """Full spectra of a matrix stack: values, vectors, observables.
 
-    verify=True enforces the biorthogonality contract |v_i . v_j| <
-    BIORTH_TOL for pairs separated by more than GAP_GUARD (both
-    non-defective); a violation raises BiorthogonalityError.
+    Enforces the biorthogonality contract |v_i . v_j| < BIORTH_TOL for
+    pairs separated by more than GAP_GUARD (both non-defective); a
+    violation raises BiorthogonalityError naming the batch index.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -519,19 +442,14 @@ def solve_spectrum_batch(h: np.ndarray, verify: bool = True) -> SpectrumBatch:
     hv = np.einsum("mij,mkj->mki", h, vectors)
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
 
-    if verify:
-        overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
-        overlap[:, idx, idx] = 0.0
-        regular = ~defective
-        checked = (
-            (gap_offdiag > GAP_GUARD)
-            & regular[:, :, None]
-            & regular[:, None, :]
-        )
-        worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
-        k = int(np.argmax(worst))
-        if worst[k] >= BIORTH_TOL:
-            raise BiorthogonalityError(k, float(worst[k]))
+    overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
+    overlap[:, idx, idx] = 0.0
+    regular = ~defective
+    checked = (gap_offdiag > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+    worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
+    k = int(np.argmax(worst))
+    if worst[k] >= BIORTH_TOL:
+        raise BiorthogonalityError(k, float(worst[k]))
 
     return SpectrumBatch(
         values=values,
@@ -541,52 +459,3 @@ def solve_spectrum_batch(h: np.ndarray, verify: bool = True) -> SpectrumBatch:
         cross_norms=cross,
         residual=residual,
     )
-
-
-def eig_small(h: np.ndarray) -> Spectrum:
-    """Spectrum of one matrix: eigenvalues, eigenvectors, defect flags.
-
-    Observables (norm_a, cross_norms) are filled by
-    normalize_biorthogonal; this step computes and normalizes vectors
-    and runs no cross-pair verification.
-    """
-    batch = solve_spectrum_batch(np.asarray(h, dtype=complex)[None, :, :], verify=False)
-    pairs = tuple(
-        EigenPair(
-            value=complex(batch.values[0, i]),
-            vector=batch.vectors[0, i].copy(),
-            defective=bool(batch.defective[0, i]),
-        )
-        for i in range(batch.values.shape[1])
-    )
-    return Spectrum(pairs=pairs, residual=float(batch.residual[0]))
-
-
-def normalize_biorthogonal(spectrum: Spectrum) -> Spectrum:
-    """Fill A_i and |B_i^j| and verify biorthogonality of the spectrum.
-
-    Raises BiorthogonalityError when well-separated non-defective pairs
-    fail |v_i . v_j| < BIORTH_TOL: that signals a solver bug, not a
-    property of the physics.
-    """
-    vectors = spectrum.vectors
-    values = spectrum.values
-    n = len(spectrum)
-    norm_a = (np.abs(vectors) ** 2).sum(axis=1)
-    cross = np.abs(np.conj(vectors) @ vectors.T)
-    idx = np.arange(n)
-    cross[idx, idx] = 0.0
-    overlap = np.abs(vectors @ vectors.T)
-    overlap[idx, idx] = 0.0
-    gap = np.abs(values[:, None] - values[None, :])
-    regular = ~spectrum.defective
-    checked = (gap > GAP_GUARD) & regular[:, None] & regular[None, :]
-    checked[idx, idx] = False
-    worst = np.where(checked, overlap, 0.0).max() if n > 1 else 0.0
-    if worst >= BIORTH_TOL:
-        raise BiorthogonalityError(0, float(worst))
-    pairs = tuple(
-        replace(pair, norm_a=float(norm_a[i]), cross_norms=cross[i].copy())
-        for i, pair in enumerate(spectrum.pairs)
-    )
-    return Spectrum(pairs=pairs, residual=spectrum.residual)

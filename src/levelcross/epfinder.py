@@ -27,6 +27,7 @@ SCAN_POINTS = 51          # per axis, endpoints included
 SCAN_TIE_RTOL = 1e-6      # scan cells this close to the best gap tie
 MAX_REFINE_ITER = 400
 PROBE_SCALE = 1e-4        # probe offset as a fraction of the box width
+PROBE_MAX_DOUBLINGS = 50  # outward pushes of a probe that lands on a defective spectrum
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ def probe_norm_blowup(
     tunable: Tunable,
     location: tuple[float, float],
     offsets: tuple[float, float],
-    max_doublings: int = 50,
 ) -> float:
     """Largest A_i over the four probes bracketing `location`.
 
@@ -85,7 +85,7 @@ def probe_norm_blowup(
     ha, ht = offsets
     worst = 0.0
     for da, dt in ((ha, 0.0), (-ha, 0.0), (0.0, ht), (0.0, -ht)):
-        for _ in range(max_doublings):
+        for _ in range(PROBE_MAX_DOUBLINGS):
             h = build_hamiltonian_batch(
                 scenario, [xa + da], tunable=tunable, value=xt + dt
             )

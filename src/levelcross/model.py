@@ -15,9 +15,9 @@ value is computed once and written to both entries, so H == H.T holds
 bit-exactly.
 
 Assembly is vectorized over the parameter grid: build_hamiltonian_batch
-returns an (m, N, N) stack for m parameter values, and every scalar
-helper routes through the same code path, so batch and pointwise
-results agree bitwise.
+returns an (m, N, N) stack for m parameter values and is the only
+builder. Every entry depends on its own parameter value alone, so a
+batch agrees bitwise with its length-1 slices.
 """
 
 from __future__ import annotations
@@ -38,14 +38,13 @@ __all__ = [
     "Scenario",
     "Tunable",
     "PROFILES",
-    "coupling_at",
-    "build_hamiltonian",
     "build_hamiltonian_batch",
     "level_energies",
     "scenario_to_dict",
     "scenario_from_dict",
     "save_scenario",
     "load_scenario",
+    "with_profile",
 ]
 
 PROFILES = ("constant", "gaussian", "energy_weighted_gaussian")
@@ -173,17 +172,6 @@ def _pair_coupling(scenario: Scenario, i: int, j: int, energies: np.ndarray):
     return omega * (energies[:, min(i, j)] * g)
 
 
-def coupling_at(scenario: Scenario, i: int, j: int, a) -> complex:
-    """Off-diagonal element w_ij at parameter a (0 for inactive pairs)."""
-    n = scenario.n
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise IndexError(f"coupling indices ({i}, {j}) invalid for {n} levels")
-    if (min(i, j), max(i, j)) not in scenario.coupling.active_pairs:
-        return 0j
-    energies = level_energies(scenario, a)
-    return complex(_pair_coupling(scenario, i, j, energies)[0])
-
-
 def build_hamiltonian_batch(
     scenario: Scenario, a, *, tunable: Tunable | None = None, value=None
 ) -> np.ndarray:
@@ -215,11 +203,6 @@ def build_hamiltonian_batch(
         h[:, i, j] = w
         h[:, j, i] = w
     return h
-
-
-def build_hamiltonian(scenario: Scenario, a: float) -> np.ndarray:
-    """The N x N complex-symmetric matrix at a single parameter value."""
-    return build_hamiltonian_batch(scenario, [a])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +298,3 @@ def load_scenario(path) -> Scenario:
 def with_profile(scenario: Scenario, profile: str) -> Scenario:
     """The same scenario with a different coupling profile."""
     return replace(scenario, coupling=replace(scenario.coupling, profile=profile))
-
-
-__all__.append("with_profile")

@@ -16,6 +16,7 @@ the state of affairs at a_max.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,7 +27,7 @@ from .eigensolve import (
     BiorthogonalityError,
     RootConvergenceError,
     SolverError,
-    Spectrum,
+    SpectrumBatch,
     solve_spectrum_batch,
 )
 from .model import CouplingSpec, Scenario, Tunable, build_hamiltonian_batch
@@ -37,49 +38,47 @@ __all__ = [
     "SweepResult",
     "Trajectory",
     "detect_crossings",
-    "match_branches",
     "run_sweep",
 ]
 
 CROSSING_TOL = 1e-6      # |E_i - E_j| below this counts as an energy crossing
 MATCH_TIE_TOL = 1e-12    # overlap objectives within this are tied
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def _permutations(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))), dtype=int)
-    return _PERM_CACHE[n]
+    return np.array(list(itertools.permutations(range(n))), dtype=int)
 
 
 def _best_assignment(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Permutation maximizing sum score[i, pi(i)]; ties by minimal
-    sum tiebreak, then first in lexicographic order."""
-    n = score.shape[0]
-    perms = _permutations(n)
-    rows = np.arange(n)[:, None]
-    totals = score[rows, perms.T].sum(axis=0)
-    ties = tiebreak[rows, perms.T].sum(axis=0)
-    cand = totals >= totals.max() - MATCH_TIE_TOL
+    """Per matrix of a (k, n, n) stack, the permutation pi maximizing
+    sum_i score[i, pi(i)], enumerated exactly; near-ties (within
+    MATCH_TIE_TOL) go to the minimal sum of tiebreak, then to the first
+    permutation in lexicographic order. Returns (k, n)."""
+    perms = _permutations(score.shape[-1])
+    rows = np.arange(score.shape[-1])[:, None]
+    totals = score[:, rows, perms.T].sum(axis=1)                # (k, P)
+    ties = tiebreak[:, rows, perms.T].sum(axis=1)
+    cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
     penalty = np.where(cand, ties, np.inf)
-    return perms[int(np.argmin(penalty))]
+    return perms[np.argmin(penalty, axis=1)]
 
 
-def match_branches(prev: Spectrum, curr: Spectrum) -> tuple[int, ...]:
-    """Permutation pi with curr[pi[i]] continuing prev[i]'s branch.
+def _step_permutations(batch: SpectrumBatch) -> np.ndarray:
+    """(m-1, n) permutations: step[t][i] is the spectrum index at point
+    t+1 that continues spectrum index i at point t.
 
     Maximizes the summed Hermitian overlap magnitude of the eigenvector
-    pairs, enumerated exactly. If either spectrum carries a defective
-    pair the objective falls back to eigenvalue proximity.
+    pairs. A step touching a defective point falls back to eigenvalue
+    proximity; eigenvalue distance breaks ties either way.
     """
-    vp, vc = prev.vectors, curr.vectors
-    dist = np.abs(prev.values[:, None] - curr.values[None, :])
-    if prev.defective.any() or curr.defective.any():
-        score = -dist
-    else:
-        score = np.abs(np.conj(vp) @ vc.T)
-    return tuple(int(k) for k in _best_assignment(score, dist))
+    overlap = np.abs(
+        np.einsum("mik,mjk->mij", np.conj(batch.vectors[:-1]), batch.vectors[1:])
+    )
+    dist = np.abs(batch.values[:-1, :, None] - batch.values[1:, None, :])
+    any_def = batch.defective.any(axis=1)
+    fallback = any_def[:-1] | any_def[1:]
+    return _best_assignment(np.where(fallback[:, None, None], -dist, overlap), dist)
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,7 @@ def _solve_grid(scenario, a, tunable, value, workers):
         parts = list(
             pool.map(lambda be: solve_chunk(be[0], be[1]), zip(bounds[:-1], bounds[1:]))
         )
-    first = parts[0]
-    return type(first)(
+    return SpectrumBatch(
         values=np.concatenate([p.values for p in parts]),
         vectors=np.concatenate([p.vectors for p in parts]),
         defective=np.concatenate([p.defective for p in parts]),
@@ -211,21 +209,7 @@ def run_sweep(
     batch = _solve_grid(scenario, a, tunable, value, workers)
     rows = np.arange(m)
 
-    # step permutations, vectorized over the grid
-    perms = _permutations(n)
-    overlap = np.abs(
-        np.einsum("mik,mjk->mij", np.conj(batch.vectors[:-1]), batch.vectors[1:])
-    )
-    dist = np.abs(batch.values[:-1, :, None] - batch.values[1:, None, :])
-    any_def = batch.defective.any(axis=1)
-    fallback = any_def[:-1] | any_def[1:]
-    primary = np.where(fallback[:, None, None], -dist, overlap)
-    gather_rows = np.arange(n)[:, None]
-    totals = primary[:, gather_rows, perms.T].sum(axis=1)      # (m-1, P)
-    ties = dist[:, gather_rows, perms.T].sum(axis=1)
-    cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
-    penalty = np.where(cand, ties, np.inf)
-    step_perm = perms[np.argmin(penalty, axis=1)]              # (m-1, n)
+    step_perm = _step_permutations(batch)
 
     # initial branch labels: levels sorted by (e(a_min), gamma/2, index)
     bare = _bare_diagonal(scenario, a, tunable, value)
@@ -234,7 +218,7 @@ def run_sweep(
     level_order = np.lexsort((np.arange(n), half_widths, eps0.real))
     component = np.abs(batch.vectors[0])                       # (spectrum, level)
     proximity = np.abs(batch.values[0][:, None] - eps0[None, :])
-    assign = _best_assignment(component.T, proximity.T)        # level -> spectrum idx
+    assign = _best_assignment(component.T[None], proximity.T[None])[0]  # level -> spectrum idx
 
     idx = np.empty((m, n), dtype=int)
     idx[0] = assign[level_order]
@@ -306,7 +290,7 @@ def _end_levels(result: SweepResult) -> np.ndarray:
         [t.energy[-1] - 1j * t.gamma_half[-1] for t in result.trajectories]
     )
     cost = np.abs(ends[:, None] - eps_end[None, :])
-    return _best_assignment(-cost, cost)
+    return _best_assignment(-cost[None], cost[None])[0]
 
 
 def detect_crossings(result: SweepResult, tol: float = CROSSING_TOL):

@@ -14,14 +14,9 @@ from levelcross.eigensolve import (
     BiorthogonalityError,
     EPS,
     GAP_GUARD,
-    Spectrum,
     _canonicalize,
-    char_poly,
     char_poly_batch,
-    eig_small,
     eigenvalues_batch,
-    normalize_biorthogonal,
-    poly_roots,
     poly_roots_batch,
     solve_spectrum_batch,
 )
@@ -44,23 +39,28 @@ def closed_form_two_level(h):
     return np.take_along_axis(values, order, axis=1)
 
 
+def roots_of(coeffs):
+    """Roots of one polynomial, as a length-1 batch, sorted by (Re, Im)."""
+    return np.sort_complex(poly_roots_batch(np.asarray(coeffs, dtype=complex)[None])[0])
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 
 
 def test_char_poly_diagonal_integer_matrix():
-    coeffs = char_poly(np.diag([1.0, 2.0]))
+    coeffs = char_poly_batch(np.diag([1.0, 2.0])[None])[0]
     assert np.array_equal(coeffs, np.array([2.0, -3.0, 1.0], dtype=complex))
 
 
 def test_char_poly_zero_matrix():
-    coeffs = char_poly(np.zeros((2, 2)))
+    coeffs = char_poly_batch(np.zeros((2, 2))[None])[0]
     assert np.array_equal(coeffs, np.array([0.0, 0.0, 1.0], dtype=complex))
 
 
 def test_char_poly_detuned_two_level_trace():
     h = np.array([[1.0 - 0.5j, 0.05], [0.05, -0.5999j]])
-    coeffs = char_poly(h)
+    coeffs = char_poly_batch(h[None])[0]
     assert -coeffs[1] == h[0, 0] + h[1, 1]
     assert coeffs[2] == 1.0
 
@@ -79,7 +79,7 @@ def test_char_poly_trace_and_det_identities():
 
 def test_char_poly_rejects_oversized_matrix():
     with pytest.raises(ValueError):
-        char_poly(np.eye(9))
+        char_poly_batch(np.eye(9)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -87,39 +87,39 @@ def test_char_poly_rejects_oversized_matrix():
 
 
 def test_roots_of_simple_quadratics():
-    roots = poly_roots([-1.0, 0.0, 1.0])  # z^2 - 1
+    roots = roots_of([-1.0, 0.0, 1.0])  # z^2 - 1
     assert np.abs(roots - np.array([-1.0, 1.0])).max() < 5e-15
-    roots = poly_roots([2.0, -3.0, 1.0])  # (z-1)(z-2)
+    roots = roots_of([2.0, -3.0, 1.0])  # (z-1)(z-2)
     assert np.abs(roots - np.array([1.0, 2.0])).max() < 5e-15
 
 
 def test_double_root_snaps_exactly():
-    roots = poly_roots([0.0, 0.0, 1.0])  # z^2
+    roots = roots_of([0.0, 0.0, 1.0])  # z^2
     assert roots[0] == 0.0 and roots[1] == 0.0
-    roots = poly_roots([1.0, -2.0, 1.0])  # (z-1)^2
+    roots = roots_of([1.0, -2.0, 1.0])  # (z-1)^2
     assert roots[0] == 1.0 and roots[1] == 1.0
 
 
 def test_close_pair_is_not_snapped():
     # gap 1e-3: resolvable in double precision, must stay split
-    roots = poly_roots([1.0 * 1.001, -(2.001), 1.0])
+    roots = roots_of([1.0 * 1.001, -(2.001), 1.0])
     assert np.abs(roots - np.array([1.0, 1.001])).max() < 1e-11
     assert roots[0] != roots[1]
     # gap 1e-5: still resolvable
-    roots = poly_roots([1.00001, -2.00001, 1.0])
+    roots = roots_of([1.00001, -2.00001, 1.0])
     assert np.abs(roots - np.array([1.0, 1.00001])).max() < 5e-10
     assert roots[0] != roots[1]
 
 
 def test_linear_polynomial():
-    roots = poly_roots([3.0 - 1.0j, 1.0])
+    roots = roots_of([3.0 - 1.0j, 1.0])
     assert roots[0] == -(3.0 - 1.0j)
 
 
 def test_cubic_with_triple_root_stays_in_cluster():
     # (z-1)^3: no double-precision method separates the cluster; all
     # three roots must land within the eps**(1/3) cluster radius
-    roots = poly_roots([-1.0, 3.0, -3.0, 1.0])
+    roots = roots_of([-1.0, 3.0, -3.0, 1.0])
     assert np.abs(roots - 1.0).max() < 50 * EPS ** (1.0 / 3.0)
 
 
@@ -145,9 +145,9 @@ def test_roots_match_lapack_on_random_matrices():
 
 def test_roots_reject_bad_coefficients():
     with pytest.raises(ValueError):
-        poly_roots([1.0])  # degree 0
+        roots_of([1.0])  # degree 0
     with pytest.raises(ValueError):
-        poly_roots([np.nan, 1.0])
+        roots_of([np.nan, 1.0])
     with pytest.raises(ValueError):
         poly_roots_batch(np.array([[1.0, 2.0, 0.0]], dtype=complex))
 
@@ -169,12 +169,12 @@ def test_equal_energy_imaginary_coupling_splits_widths():
     # equal while the half-widths repel by |coupling|
     d = 2.0 / 3.0 - 0.5j
     h = np.array([[d, 0.05j], [0.05j, d]])
-    spectrum = eig_small(h)
-    values = spectrum.values
+    batch = solve_spectrum_batch(h[None])
+    values = batch.values[0]
     assert np.abs(values[0] - (2.0 / 3.0 - 0.55j)) < 1e-12
     assert np.abs(values[1] - (2.0 / 3.0 - 0.45j)) < 1e-12
-    assert not spectrum.defective.any()
-    assert spectrum.residual < 1e-13
+    assert not batch.defective.any()
+    assert batch.residual[0] < 1e-13
 
 
 def test_exact_coalescence_is_defective():
@@ -183,12 +183,12 @@ def test_exact_coalescence_is_defective():
     h = np.array(
         [[2.0 / 3.0 - 0.5j, 0.05], [0.05, 2.0 / 3.0 - 0.6j]], dtype=complex
     )
-    spectrum = eig_small(h)
-    values = spectrum.values
+    batch = solve_spectrum_batch(h[None])
+    values = batch.values[0]
     assert values[0] == values[1]
-    assert spectrum.defective.all()
-    assert spectrum.residual < 1e-12
-    v = spectrum[0].vector
+    assert batch.defective.all()
+    assert batch.residual[0] < 1e-12
+    v = batch.vectors[0, 0]
     assert np.abs((v * v).sum()) < 1e-10
     assert np.abs((np.abs(v) ** 2).sum() - 1.0) < 1e-12
 
@@ -196,14 +196,14 @@ def test_exact_coalescence_is_defective():
 def test_true_crossing_keeps_two_directions():
     d = 0.5 - 0.5j
     h = np.diag([d, d]).astype(complex)
-    spectrum = eig_small(h)
-    assert spectrum.values[0] == spectrum.values[1]
-    assert not spectrum.defective.any()
-    vecs = spectrum.vectors
+    batch = solve_spectrum_batch(h[None])
+    assert batch.values[0, 0] == batch.values[0, 1]
+    assert not batch.defective.any()
+    vecs = batch.vectors[0]
     overlap = np.abs(vecs[0] @ vecs[1])
     assert overlap < 1e-12
-    filled = normalize_biorthogonal(spectrum)
-    assert all(abs(p.norm_a - 1.0) < 1e-12 for p in filled)
+    assert np.abs(batch.norm_a[0] - 1.0).max() < 1e-12
+    assert np.abs(batch.cross_norms[0]).max() < 1e-12
 
 
 def test_eigenvectors_satisfy_eigenvalue_equation():
@@ -231,7 +231,7 @@ def test_bilinear_normalization_and_norm_bounds():
 def test_biorthogonality_of_separated_pairs():
     rng = np.random.default_rng(61)
     h = random_symmetric(rng, 4, m=500)
-    batch = solve_spectrum_batch(h)  # verify=True raises on violation
+    batch = solve_spectrum_batch(h)  # raises on violation
     overlap = np.abs(np.einsum("mik,mjk->mij", batch.vectors, batch.vectors))
     idx = np.arange(4)
     overlap[:, idx, idx] = 0.0
@@ -272,10 +272,11 @@ def test_eigenvalues_batch_matches_full_solve():
 
 
 def test_single_level_matrix():
-    spectrum = eig_small(np.array([[2.0 - 0.3j]]))
-    assert spectrum[0].value == 2.0 - 0.3j
-    assert spectrum[0].vector[0] == 1.0
-    assert not spectrum[0].defective
+    batch = solve_spectrum_batch(np.array([[[2.0 - 0.3j]]]))
+    assert batch.values[0, 0] == 2.0 - 0.3j
+    assert batch.vectors[0, 0, 0] == 1.0
+    assert not batch.defective[0, 0]
+    assert batch.norm_a[0, 0] == 1.0
 
 
 def test_canonical_gauge_is_deterministic():
@@ -317,34 +318,18 @@ def test_near_coalescence_roots_follow_closed_form():
     assert np.abs(numeric - exact).max() < 1e-9
 
 
-def test_normalize_biorthogonal_fills_observables():
-    h = np.array([[1.0 - 0.5j, 0.05], [0.05, -0.5999j]])
-    spectrum = eig_small(h)
-    assert spectrum[0].norm_a is None
-    filled = normalize_biorthogonal(spectrum)
-    for pair in filled:
-        assert pair.norm_a >= 1.0 - 1e-12
-        assert pair.cross_norms.shape == (2,)
-        assert pair.cross_norms[0] >= 0
-    assert isinstance(filled, Spectrum)
+def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
+    # a solver bug that hands two well-separated eigenvalues one shared
+    # direction must not pass silently
+    def duplicate_direction(vectors, defective):
+        vectors = _canonicalize(vectors, defective).copy()
+        vectors[:, 1] = vectors[:, 0]
+        return vectors
 
-
-def test_normalize_biorthogonal_flags_solver_bugs():
+    monkeypatch.setattr("levelcross.eigensolve._canonicalize", duplicate_direction)
     h = np.array([[1.0 - 0.5j, 0.05], [0.05, -0.5999j]])
-    spectrum = eig_small(h)
-    broken = Spectrum(
-        pairs=tuple(
-            pair.__class__(
-                value=pair.value,
-                vector=spectrum[0].vector,  # duplicate direction
-                defective=False,
-            )
-            for pair in spectrum
-        ),
-        residual=spectrum.residual,
-    )
-    with pytest.raises(BiorthogonalityError):
-        normalize_biorthogonal(broken)
+    with pytest.raises(BiorthogonalityError, match=r"\(batch index 0\)"):
+        solve_spectrum_batch(h[None])
 
 
 def test_solver_requires_square_stack():

@@ -128,7 +128,7 @@ def test_norm_blowup_grows_toward_the_coalescence():
 
 
 def test_probe_failure_names_the_probe_point(monkeypatch):
-    def explode(h, verify=True):
+    def explode(h):
         raise BiorthogonalityError(0, 1.058e-08)
 
     monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", explode)

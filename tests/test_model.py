@@ -12,9 +12,7 @@ from levelcross.model import (
     ScenarioError,
     SweepGrid,
     Tunable,
-    build_hamiltonian,
     build_hamiltonian_batch,
-    coupling_at,
     level_energies,
     load_scenario,
     save_scenario,
@@ -55,6 +53,11 @@ def four_level(profile="gaussian", pairs=((0, 3), (1, 3), (2, 3)), selfenergy=No
     )
 
 
+def coupling(sc, i, j, a):
+    """Off-diagonal entry w_ij of H(a), read from a length-1 batch."""
+    return build_hamiltonian_batch(sc, [a])[0][i, j]
+
+
 def test_gaussian_equals_omega_at_degeneracy():
     sc = Scenario(
         label="flat",
@@ -62,7 +65,7 @@ def test_gaussian_equals_omega_at_degeneracy():
         coupling=CouplingSpec(0.05 + 0j, "gaussian", [(0, 1)]),
         sweep=SweepGrid(0.0, 1.0, 2),
     )
-    assert coupling_at(sc, 0, 1, 0.3) == 0.05 + 0j
+    assert coupling(sc, 0, 1, 0.3) == 0.05 + 0j
 
 
 def test_gaussian_at_unit_separation():
@@ -72,26 +75,18 @@ def test_gaussian_at_unit_separation():
         coupling=CouplingSpec(0.05 + 0j, "gaussian", [(0, 1)]),
         sweep=SweepGrid(0.0, 1.0, 2),
     )
-    w = coupling_at(sc, 0, 1, 0.0)
+    w = coupling(sc, 0, 1, 0.0)
     assert w == 0.05 * math.exp(-1.0)
     assert abs(w - 0.018393972058572117) < 1e-18
 
 
 def test_inactive_pair_is_zero():
     sc = four_level(pairs=[(0, 3)])
-    assert coupling_at(sc, 1, 2, 0.7) == 0j
-
-
-def test_out_of_range_raises():
-    sc = two_level()
-    with pytest.raises(IndexError):
-        coupling_at(sc, 0, 2, 0.5)
-    with pytest.raises(IndexError):
-        coupling_at(sc, 1, 1, 0.5)
+    assert coupling(sc, 1, 2, 0.7) == 0j
 
 
 def test_two_level_matrix_values():
-    h = build_hamiltonian(two_level(), 2 / 3)
+    h = build_hamiltonian_batch(two_level(), [2 / 3])[0]
     assert h[0, 1] == 0.05 + 0j
     assert h[1, 0] == h[0, 1]
     assert abs(h[0, 0] - (2 / 3 - 0.5j)) < 1e-15
@@ -105,7 +100,7 @@ def test_single_level_matrix():
         coupling=CouplingSpec(0j, "constant", []),
         sweep=SweepGrid(0.0, 2.0, 3),
     )
-    h = build_hamiltonian(sc, 1.0)
+    h = build_hamiltonian_batch(sc, [1.0])[0]
     assert h.shape == (1, 1)
     assert h[0, 0] == 1.0 - 0.5j
 
@@ -141,7 +136,7 @@ def test_energy_weighted_gaussian_weights_by_lower_index():
     sc = four_level(profile="energy_weighted_gaussian")
     a = 0.55
     e = level_energies(sc, a)[0]
-    w = coupling_at(sc, 2, 3, a)
+    w = coupling(sc, 2, 3, a)
     assert w == (0.05 + 0.05j) * (e[2] * np.exp(-((e[2] - e[3]) ** 2)))
 
 
@@ -149,18 +144,21 @@ def test_selfenergy_only_named_level():
     shift = 0.05 + 0.05j
     sc = four_level(selfenergy={3: shift})
     bare = four_level()
-    h1 = build_hamiltonian(sc, 0.6)
-    h0 = build_hamiltonian(bare, 0.6)
+    h1 = build_hamiltonian_batch(sc, [0.6])[0]
+    h0 = build_hamiltonian_batch(bare, [0.6])[0]
     assert h1[3, 3] == h0[3, 3] + shift
     assert np.array_equal(np.delete(h1.ravel(), 15), np.delete(h0.ravel(), 15))
 
 
-def test_batch_matches_scalar_bitwise():
-    sc = four_level()
-    grid = np.linspace(0.0, 1.5, 17)
-    batch = build_hamiltonian_batch(sc, grid)
-    for k, a in enumerate(grid):
-        assert np.array_equal(batch[k], build_hamiltonian(sc, float(a)))
+def test_batch_matches_length_one_batches_bitwise():
+    # sweeps split the grid into per-thread chunks; byte-identical output
+    # across thread counts needs each point independent of its batch
+    weighted = four_level(profile="energy_weighted_gaussian", selfenergy={3: 0.05j})
+    for sc in (four_level(), weighted):
+        grid = np.linspace(0.0, 1.5, 17)
+        batch = build_hamiltonian_batch(sc, grid)
+        for k, a in enumerate(grid):
+            assert np.array_equal(batch[k], build_hamiltonian_batch(sc, [float(a)])[0])
 
 
 def test_gaussian_magnitude_decays_with_separation():
@@ -170,7 +168,7 @@ def test_gaussian_magnitude_decays_with_separation():
     for a in [2 / 3, 0.8, 1.0, 1.2, 1.5]:
         e = level_energies(sc, a)[0]
         seps.append(abs(e[0] - e[1]))
-        mags.append(abs(coupling_at(sc, 0, 1, a)))
+        mags.append(abs(coupling(sc, 0, 1, a)))
     assert seps == sorted(seps)
     assert mags == sorted(mags, reverse=True)
 

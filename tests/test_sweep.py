@@ -1,5 +1,6 @@
 """Branch tracking and crossing classification on designed scenarios."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from levelcross.eigensolve import (
     BiorthogonalityError,
     RootConvergenceError,
     SolverError,
-    eig_small,
     eigenvalues_batch,
+    solve_spectrum_batch,
 )
 from levelcross.expressions import parse_expr
 from levelcross.model import (
@@ -22,7 +23,15 @@ from levelcross.model import (
     build_hamiltonian_batch,
 )
 from levelcross.presets import PRESET_IDS, preset
-from levelcross.sweep import _runs, _valleys, detect_crossings, match_branches, run_sweep
+from levelcross.sweep import (
+    MATCH_TIE_TOL,
+    _best_assignment,
+    _runs,
+    _step_permutations,
+    _valleys,
+    detect_crossings,
+    run_sweep,
+)
 
 
 def scenario(
@@ -192,28 +201,61 @@ def test_worker_count_is_invisible():
         assert np.array_equal(t1.defective, t4.defective)
 
 
+def test_best_assignment_matches_brute_force_per_matrix():
+    # reference: scan the permutations in lexicographic order, keep the
+    # best score, break near-ties by the smaller tiebreak sum
+    rng = np.random.default_rng(83)
+    for n in range(1, 6):
+        score = np.round(rng.uniform(size=(40, n, n)), 1)  # rounding makes ties
+        tiebreak = np.round(rng.uniform(size=(40, n, n)), 1)
+        got = _best_assignment(score, tiebreak)
+        assert got.shape == (40, n)
+        for k in range(40):
+            rows = np.arange(n)
+            perms = list(itertools.permutations(range(n)))
+            totals = [score[k, rows, list(p)].sum() for p in perms]
+            best = max(totals)
+            cands = [
+                (tiebreak[k, rows, list(p)].sum(), i)
+                for i, p in enumerate(perms)
+                if totals[i] >= best - MATCH_TIE_TOL
+            ]
+            assert tuple(got[k]) == perms[min(cands)[1]]
+
+
 def test_match_branches_prefers_vector_overlap():
     # the eigenvalues move; only the vectors identify the branches
     h1 = np.diag([0.3 - 0.5j, 0.7 - 0.3j])
     h2 = np.diag([0.7 - 0.5j, 0.3 - 0.3j])
-    s1, s2 = eig_small(h1), eig_small(h2)
-    assert match_branches(s1, s2) == (1, 0)
-    assert match_branches(s1, s1) == (0, 1)
+    steps = _step_permutations(solve_spectrum_batch(np.stack([h1, h1, h2])))
+    assert steps.tolist() == [[0, 1], [1, 0]]
 
 
 def test_match_branches_defective_fallback():
+    # a step touching a defective point is matched on eigenvalues alone:
+    # the vectors below would swap the branches, proximity must not. h_near
+    # enters through eigenvalues_batch because its full solve trips the
+    # biorthogonality check (overlap 1.17e-8 at gap 6.3e-5): a known
+    # near-EP accuracy fault of the eigensolver, not of the matcher
     h_ep = np.array([[2.0 / 3.0 - 0.5j, 0.05], [0.05, 2.0 / 3.0 - 0.6j]])
-    s_ep = eig_small(h_ep)
-    assert s_ep.defective.all()
     h_near = h_ep + np.diag([1e-8, -1e-8])
-    s_near = eig_small(h_near)
-    assert match_branches(s_ep, s_near) == (0, 1)
+    ep = solve_spectrum_batch(h_ep[None])
+    assert ep.defective.all()
+    batch = replace(
+        ep,
+        values=eigenvalues_batch(np.stack([h_ep, h_near])),
+        vectors=np.stack([np.eye(2), np.eye(2)[::-1]]).astype(complex),
+        defective=np.concatenate([ep.defective, [[False, False]]]),
+    )
+    assert _step_permutations(batch).tolist() == [[0, 1]]
+    regular = replace(batch, defective=np.zeros_like(batch.defective))
+    assert _step_permutations(regular).tolist() == [[1, 0]]
 
 
 def test_solver_error_names_the_grid_point(monkeypatch):
     sc = scenario(["1 - a/2", "a"], [0.5, 0.5], grid=(0.0, 1.5, 151))
 
-    def explode(h, verify=True):
+    def explode(h):
         raise RootConvergenceError(3, 1.0)
 
     monkeypatch.setattr("levelcross.sweep.solve_spectrum_batch", explode)
@@ -224,7 +266,7 @@ def test_solver_error_names_the_grid_point(monkeypatch):
 def test_biorthogonality_error_names_the_grid_point(monkeypatch):
     sc = scenario(["1 - a/2", "a"], [0.5, 0.5], grid=(0.0, 1.5, 151))
 
-    def explode(h, verify=True):
+    def explode(h):
         raise BiorthogonalityError(3, 1.168e-08)
 
     monkeypatch.setattr("levelcross.sweep.solve_spectrum_batch", explode)
