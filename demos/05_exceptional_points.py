@@ -26,7 +26,7 @@ for value in (0.55, 0.59, 0.599, 0.6):
     gap = coalescence_gap(scenario, 2.0 / 3.0, tunable=TUNE, value=value)
     print(f"  gamma_2/2 = {value:<7} gap = {gap:.3e}")
 
-# scan + simplex search against the closed-form location
+# grid scan + Newton on the squared gap, against the closed-form location
 report = find_ep(scenario, TUNE, BOX)
 sols = ep_condition_2level(scenario.levels[0], scenario.levels[1], scenario.coupling.omega)
 print(f"\nsearch result: location ({report.location[0]:.10f}, {report.location[1]:.10f})")

@@ -351,15 +351,13 @@ class SpectrumBatch:
     """Spectra over a parameter batch, sorted by (Re, Im) per point.
 
     values (m, n); vectors (m, n, n) with vectors[p, i] belonging to
-    values[p, i]; defective (m, n); norm_a (m, n); cross_norms
-    (m, n, n) with zero diagonal; residual (m,).
+    values[p, i]; defective (m, n); norm_a (m, n); residual (m,).
     """
 
     values: np.ndarray
     vectors: np.ndarray
     defective: np.ndarray
     norm_a: np.ndarray
-    cross_norms: np.ndarray
     residual: np.ndarray
 
     def __len__(self):
@@ -436,8 +434,6 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     vectors = _canonicalize(vectors, defective)
 
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
-    cross = np.abs(np.einsum("mik,mjk->mij", np.conj(vectors), vectors))
-    cross[:, idx, idx] = 0.0
 
     hv = np.einsum("mij,mkj->mki", h, vectors)
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
@@ -456,6 +452,5 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
         vectors=vectors,
         defective=defective,
         norm_a=norm_a,
-        cross_norms=cross,
         residual=residual,
     )

@@ -1,9 +1,13 @@
 """Numeric exceptional point search over (a, tunable) rectangles.
 
-The objective is the smallest pairwise eigenvalue distance. Near a
-coalescence it behaves like the square root of the parameter distance,
-so gradient refinement is hopeless there; a coarse grid scan followed
-by Nelder-Mead on the squared gap is robust and deterministic.
+Near a two-fold coalescence (EP2) the pair behaves like c +- sqrt(z),
+with z linear in the parameter distance, so the gap |lambda_i - lambda_j|
+is a cone with no gradient at its tip. Its square g = (lambda_i -
+lambda_j)^2 = 4z has no branch point: it is smooth in (a, t) through
+the EP, vanishes there to first order, and is the same whichever member
+of the pair is called i (Kato 1966; Heiss, J. Phys. A 45 444016, 2012).
+So a coarse grid scan picks a start cell, and Newton on the complex g,
+two real equations in the two real unknowns (a, t), converges from it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .eigensolve import (
     BiorthogonalityError,
@@ -25,7 +28,8 @@ from .model import Scenario, ScenarioError, Tunable, build_hamiltonian_batch
 GAP_TOL = 1e-8            # coalescence detection threshold
 SCAN_POINTS = 51          # per axis, endpoints included
 SCAN_TIE_RTOL = 1e-6      # scan cells this close to the best gap tie
-MAX_REFINE_ITER = 400
+MAX_REFINE_ITER = 50      # Newton iterations after the scan
+NEWTON_STEP = 1e-7        # forward-difference step as a fraction of the box width
 PROBE_SCALE = 1e-4        # probe offset as a fraction of the box width
 PROBE_MAX_DOUBLINGS = 50  # outward pushes of a probe that lands on a defective spectrum
 
@@ -47,16 +51,13 @@ class EPReport:
     converged: bool
 
 
-def _min_gap(values: np.ndarray) -> np.ndarray:
+def _closest_pair(values: np.ndarray):
+    """lambda_i - lambda_j of the closest pair i < j at each point, with i
+    and j; values (m, n) -> three (m,) arrays."""
     iu, ju = np.triu_indices(values.shape[-1], 1)
-    return np.abs(values[..., iu] - values[..., ju]).min(axis=-1)
-
-
-def _min_gap_pair(values: np.ndarray) -> tuple[float, tuple[int, int]]:
-    iu, ju = np.triu_indices(values.size, 1)
-    d = np.abs(values[iu] - values[ju])
-    k = int(np.argmin(d))
-    return float(d[k]), (int(iu[k]), int(ju[k]))
+    diff = values[:, iu] - values[:, ju]
+    k = np.argmin(np.abs(diff), axis=1)
+    return diff[np.arange(len(k)), k], iu[k], ju[k]
 
 
 def coalescence_gap(scenario: Scenario, a, tunable=None, value=None) -> float:
@@ -64,7 +65,7 @@ def coalescence_gap(scenario: Scenario, a, tunable=None, value=None) -> float:
     if scenario.n < 2:
         raise ScenarioError("coalescence gap needs at least two levels")
     h = build_hamiltonian_batch(scenario, [a], tunable=tunable, value=value)
-    return float(_min_gap(eigenvalues_batch(h)[0]))
+    return float(abs(_closest_pair(eigenvalues_batch(h))[0][0]))
 
 
 def probe_norm_blowup(
@@ -103,10 +104,6 @@ def probe_norm_blowup(
     return worst
 
 
-class _GapConverged(Exception):
-    pass
-
-
 def find_ep(
     scenario: Scenario, tunable: Tunable, box: tuple[tuple[float, float], tuple[float, float]]
 ) -> EPReport:
@@ -116,82 +113,63 @@ def find_ep(
     Stage one scans an inclusive SCAN_POINTS^2 grid; cells within
     SCAN_TIE_RTOL of the best gap tie, broken by distance to the box
     centre (each axis measured in box widths), then by scan order.
-    Stage two runs Nelder-Mead on the squared gap from the winning
-    cell, simplex steps one cell wide, coordinates clipped to the box.
-    Converged means a gap below GAP_TOL was seen; otherwise the best
-    point found is still reported. Deterministic for fixed inputs.
+    Stage two runs Newton on g = (lambda_i - lambda_j)^2 of the closest
+    pair from the winning cell, at most MAX_REFINE_ITER steps. Each step
+    solves the point and its two forward neighbours, NEWTON_STEP box
+    widths away along a and t, in one batch, and the new point is
+    clipped to the box. Converged means a gap below GAP_TOL was seen;
+    otherwise, or if the Jacobian is singular, the best point seen is
+    still reported. Deterministic for fixed inputs.
     """
     (a_lo, a_hi), (t_lo, t_hi) = box
-    bounds = np.array([a_lo, a_hi, t_lo, t_hi], dtype=float)
-    if not np.isfinite(bounds).all():
+    lo = np.array([a_lo, t_lo], dtype=float)
+    hi = np.array([a_hi, t_hi], dtype=float)
+    if not np.isfinite([lo, hi]).all():
         raise ValueError("search box must be finite")
-    if not (a_hi > a_lo and t_hi > t_lo):
+    if not (hi > lo).all():
         raise ValueError("degenerate search box: both sides need positive extent")
     if scenario.n < 2:
         raise ScenarioError("exceptional point search needs at least two levels")
 
-    avals = np.linspace(a_lo, a_hi, SCAN_POINTS)
-    tvals = np.linspace(t_lo, t_hi, SCAN_POINTS)
-    agrid, tgrid = (g.ravel() for g in np.meshgrid(avals, tvals, indexing="ij"))
-    h = build_hamiltonian_batch(scenario, agrid, tunable=tunable, value=tgrid)
-    gaps = _min_gap(eigenvalues_batch(h))
+    def closest(points):
+        h = build_hamiltonian_batch(scenario, points[:, 0], tunable=tunable, value=points[:, 1])
+        return _closest_pair(eigenvalues_batch(h))
 
+    axes = [np.linspace(lo[k], hi[k], SCAN_POINTS) for k in range(2)]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    diff, iu, ju = closest(grid)
+    gaps = np.abs(diff)
     ties = gaps <= gaps.min() * (1.0 + SCAN_TIE_RTOL)
-    wa, wt = a_hi - a_lo, t_hi - t_lo
-    d2 = ((agrid - 0.5 * (a_lo + a_hi)) / wa) ** 2 + (
-        (tgrid - 0.5 * (t_lo + t_hi)) / wt
-    ) ** 2
+    d2 = (((grid - 0.5 * (lo + hi)) / (hi - lo)) ** 2).sum(axis=1)
     start = int(np.argmin(np.where(ties, d2, np.inf)))
 
-    best = {
-        "x": (float(agrid[start]), float(tgrid[start])),
-        "gap": float(gaps[start]),
-    }
-
-    def objective(x):
-        xa = min(max(float(x[0]), a_lo), a_hi)
-        xt = min(max(float(x[1]), t_lo), t_hi)
-        hx = build_hamiltonian_batch(scenario, [xa], tunable=tunable, value=xt)
-        gap = float(_min_gap(eigenvalues_batch(hx)[0]))
-        if gap < best["gap"]:
-            best["x"], best["gap"] = (xa, xt), gap
-            if gap < GAP_TOL:
-                raise _GapConverged
-        return gap * gap
-
-    if best["gap"] >= GAP_TOL:
-        x0 = np.array(best["x"])
-        step_a = wa / (SCAN_POINTS - 1)
-        step_t = wt / (SCAN_POINTS - 1)
-        simplex = np.array([x0, x0.copy(), x0.copy()])
-        simplex[1, 0] += -step_a if x0[0] + step_a > a_hi else step_a
-        simplex[2, 1] += -step_t if x0[1] + step_t > t_hi else step_t
+    x = grid[start]
+    best_x, best_gap, best_pair = x, float(gaps[start]), (iu[start], ju[start])
+    step = NEWTON_STEP * (hi - lo)
+    for _ in range(MAX_REFINE_ITER):
+        if best_gap < GAP_TOL:
+            break
+        step_x = np.where(x + step > hi, -step, step)
+        diff, iu, ju = closest(x + np.vstack([np.zeros(2), np.diag(step_x)]))
+        if abs(diff[0]) < best_gap:
+            best_x, best_gap, best_pair = x, float(abs(diff[0])), (iu[0], ju[0])
+        g = diff * diff
+        slope = (g[1:] - g[0]) / step_x  # dg/da, dg/dt
         try:
-            minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "maxiter": MAX_REFINE_ITER,
-                    "maxfev": 10 * MAX_REFINE_ITER,
-                    "xatol": 1e-15,
-                    "fatol": 0.0,
-                },
+            delta = np.linalg.solve(
+                np.stack([slope.real, slope.imag]), -np.array([g[0].real, g[0].imag])
             )
-        except _GapConverged:
-            pass
+        except np.linalg.LinAlgError:
+            break
+        x = np.clip(x + delta, lo, hi)
 
-    xa, xt = best["x"]
-    hx = build_hamiltonian_batch(scenario, [xa], tunable=tunable, value=xt)
-    gap, pair = _min_gap_pair(eigenvalues_batch(hx)[0])
-    blowup = probe_norm_blowup(
-        scenario, tunable, (xa, xt), (PROBE_SCALE * wa, PROBE_SCALE * wt)
-    )
+    location = tuple(best_x.tolist())
     return EPReport(
-        location=(xa, xt),
-        gap=gap,
-        pair=pair,
-        norm_blowup=blowup,
-        converged=gap < GAP_TOL,
+        location=location,
+        gap=best_gap,
+        pair=(int(best_pair[0]), int(best_pair[1])),
+        norm_blowup=probe_norm_blowup(
+            scenario, tunable, location, tuple((PROBE_SCALE * (hi - lo)).tolist())
+        ),
+        converged=best_gap < GAP_TOL,
     )

@@ -86,8 +86,7 @@ class Trajectory:
     """One branch of the spectrum followed across the sweep grid.
 
     start_level is the 0-based unperturbed level whose (e, gamma/2) the
-    branch starts nearest to at a_min. cross_norms rows are ordered by
-    branch id (own entry zero), not by raw spectrum position.
+    branch starts nearest to at a_min.
     """
 
     branch_id: int
@@ -97,7 +96,6 @@ class Trajectory:
     gamma_half: np.ndarray
     vectors: np.ndarray
     norm_a: np.ndarray
-    cross_norms: np.ndarray
     defective: np.ndarray
 
     @property
@@ -186,7 +184,6 @@ def _solve_grid(scenario, a, tunable, value, workers):
         vectors=np.concatenate([p.vectors for p in parts]),
         defective=np.concatenate([p.defective for p in parts]),
         norm_a=np.concatenate([p.norm_a for p in parts]),
-        cross_norms=np.concatenate([p.cross_norms for p in parts]),
         residual=np.concatenate([p.residual for p in parts]),
     )
 
@@ -229,7 +226,6 @@ def run_sweep(
     for b in range(n):
         seq = idx[:, b]
         values = batch.values[rows, seq]
-        cross = batch.cross_norms[rows[:, None], seq[:, None], idx]
         trajectories.append(
             Trajectory(
                 branch_id=b,
@@ -239,7 +235,6 @@ def run_sweep(
                 gamma_half=(-values.imag).copy(),
                 vectors=batch.vectors[rows, seq].copy(),
                 norm_a=batch.norm_a[rows, seq].copy(),
-                cross_norms=cross.copy(),
                 defective=batch.defective[rows, seq].copy(),
             )
         )

@@ -203,7 +203,7 @@ def test_true_crossing_keeps_two_directions():
     overlap = np.abs(vecs[0] @ vecs[1])
     assert overlap < 1e-12
     assert np.abs(batch.norm_a[0] - 1.0).max() < 1e-12
-    assert np.abs(batch.cross_norms[0]).max() < 1e-12
+    assert abs(np.vdot(vecs[0], vecs[1])) < 1e-12
 
 
 def test_eigenvectors_satisfy_eigenvalue_equation():

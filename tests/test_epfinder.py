@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from levelcross.eigensolve import BiorthogonalityError, SolverError
+from levelcross.eigensolve import BiorthogonalityError, SolverError, eigenvalues_batch
 from levelcross.epfinder import (
+    SCAN_POINTS,
     EPReport,
     coalescence_gap,
     find_ep,
@@ -17,6 +18,7 @@ from levelcross.model import (
     Scenario,
     SweepGrid,
     Tunable,
+    build_hamiltonian_batch,
     with_profile,
 )
 from levelcross.presets import preset
@@ -28,6 +30,19 @@ BOX = ((0.3, 1.0), (0.4, 0.8))
 
 def two_level_constant():
     return with_profile(preset("fig1"), "constant")
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Batch sizes of the eigenvalues_batch calls find_ep makes."""
+    calls = []
+
+    def counting(h):
+        calls.append(len(h))
+        return eigenvalues_batch(h)
+
+    monkeypatch.setattr("levelcross.epfinder.eigenvalues_batch", counting)
+    return calls
 
 
 def test_gap_zero_at_analytic_coalescence():
@@ -97,6 +112,40 @@ def test_find_ep_gaussian_profile_matches_its_own_closed_form():
     assert report.converged
     dist = min(np.hypot(report.location[0] - a, report.location[1] - t) for a, t in sols)
     assert dist < 1e-4
+
+
+@pytest.mark.parametrize("sc", [two_level_constant(), preset("fig2")], ids=["fig1", "fig2"])
+def test_newton_converges_in_a_few_batched_calls(sc, eigen_calls):
+    report = find_ep(sc, TUNE_G2, BOX)
+    assert report.converged and report.gap == 0.0
+    assert eigen_calls[0] == SCAN_POINTS**2
+    assert 1 <= len(eigen_calls) - 1 <= 10
+
+
+@pytest.mark.parametrize("pid", ["fig4", "fig9"])
+def test_four_level_search_lands_on_a_lapack_coalescence(pid):
+    sc, tune = preset(pid), Tunable("gamma_half", 3)
+    report = find_ep(sc, tune, BOX)
+    assert report.converged
+    a, t = report.location
+    values = np.linalg.eigvals(build_hamiltonian_batch(sc, [a], tunable=tune, value=t)[0])
+    iu, ju = np.triu_indices(4, 1)
+    assert np.abs(values[iu] - values[ju]).min() < 1e-5
+
+
+def test_singular_jacobian_reports_the_scan_point(eigen_calls):
+    # no level moves with a, so dg/da is exactly 0 and Newton stops at once
+    sc = Scenario(
+        label="flat",
+        levels=(LevelSpec(parse_expr("1"), 0.1), LevelSpec(parse_expr("1.5"), 0.2)),
+        coupling=CouplingSpec(0.0, "constant", ()),
+        sweep=SweepGrid(0.0, 1.0, 11),
+    )
+    report = find_ep(sc, TUNE_G2, ((0.0, 1.0), (0.0, 0.4)))
+    assert eigen_calls == [SCAN_POINTS**2, 3]
+    assert not report.converged
+    assert report.location[0] == 0.5
+    assert report.gap == pytest.approx(np.hypot(0.5, report.location[1] - 0.1), rel=1e-12)
 
 
 def test_find_ep_empty_box_reports_not_converged():

@@ -1,7 +1,11 @@
 """The public name lists: every exported name resolves, none repeats."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +33,13 @@ def test_submodule_exports_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(levelcross.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import levelcross, sys; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
