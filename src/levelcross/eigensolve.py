@@ -115,32 +115,34 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
 # polynomial evaluation with running error bounds
 
 def _horner(coeffs: np.ndarray, z: np.ndarray, order: int = 1):
-    """Evaluate p (and derivatives up to `order`) at z; coeffs (m, n+1)."""
+    """Evaluate p (and derivatives up to `order` <= 2) at z; coeffs (m, n+1).
+
+    order 0 returns p alone, otherwise the tuple (p, p', ...)."""
     n = coeffs.shape[1] - 1
     p = np.broadcast_to(coeffs[:, n, None], z.shape).copy()
-    dp = np.zeros_like(z)
+    dp = np.zeros_like(z) if order >= 1 else None
     ddp = np.zeros_like(z) if order >= 2 else None
     for j in range(n - 1, -1, -1):
         if order >= 2:
             ddp = ddp * z + 2.0 * dp
-        dp = dp * z + p
+        if order >= 1:
+            dp = dp * z + p
         p = p * z + coeffs[:, j, None]
     if order >= 2:
         return p, dp, ddp
-    return p, dp
+    if order == 1:
+        return p, dp
+    return p
 
 
-def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray):
-    """Evaluation noise floors of p and p': 8n*eps * sum_k |c_k| r^k and
-    its derivative analogue, the scale below which p(z) is numerically zero."""
-    n = coeffs.shape[1] - 1
-    acs = np.abs(coeffs)
-    b0 = np.broadcast_to(acs[:, n, None], zabs.shape).copy()
-    b1 = np.zeros_like(zabs)
-    for j in range(n - 1, -1, -1):
-        b1 = b1 * zabs + b0
-        b0 = b0 * zabs + acs[:, j, None]
-    scale = 8.0 * n * EPS
+def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
+    """Evaluation noise floor of p, 8n*eps * sum_k |c_k| r^k, the scale
+    below which p(z) is numerically zero; with order 1 also its
+    derivative analogue for p'."""
+    scale = 8.0 * (coeffs.shape[1] - 1) * EPS
+    if order == 0:
+        return scale * _horner(np.abs(coeffs), zabs, order=0)
+    b0, b1 = _horner(np.abs(coeffs), zabs)
     return scale * b0, scale * b1
 
 
@@ -181,6 +183,10 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     Aberth-Ehrlich simultaneous iteration from deterministic starting
     points on a circle of radius 1 + max|c_k|, with per-root freezing,
     two guarded Newton polish steps, and the near-double pair polish.
+    A row whose roots are all frozen leaves the iteration: it is written
+    back and dropped from the working arrays, so each sweep costs only
+    the rows still moving. Every operation acts on one row at a time,
+    so a row's roots do not depend on the batch it is solved in.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 2 or coeffs.shape[1] < 2:
@@ -198,40 +204,53 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     radius = 1.0 + np.max(np.abs(coeffs[:, :n]), axis=1)
     angles = (2.0 * np.pi * np.arange(n) + 0.5 * np.pi) / n
     z = radius[:, None] * np.exp(1j * angles)[None, :]
+    # working set: the rows still iterating, their coefficients and roots
+    live, c, w = np.arange(m), coeffs, z.copy()
     frozen = np.zeros((m, n), dtype=bool)
-    eye = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ROOT_MAX_ITER):
-            p, dp = _horner(coeffs, z)
-            floor, _ = _noise_bounds(coeffs, np.abs(z))
-            frozen |= np.abs(p) <= floor
-            if frozen.all():
+            p, dp = _horner(c, w)
+            frozen |= np.abs(p) <= _noise_bounds(c, np.abs(w), order=0)
+            done = frozen.all(axis=1)
+            if done.any():
+                z[live[done]] = w[done]
+                keep = ~done
+                live, c, w, frozen, p, dp = (
+                    live[keep], c[keep], w[keep], frozen[keep], p[keep], dp[keep]
+                )
+            if not live.size:
                 break
             newton = p / dp
-            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + np.abs(z)))
-            inv = 1.0 / (z[:, :, None] - z[:, None, :])
-            inv[:, eye, eye] = 0.0
-            inv = np.where(np.isfinite(inv), inv, 0.0)
+            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + np.abs(w)))
+            # 1/(z_i - z_j) once per pair; 1/(z_j - z_i) is its exact negative
+            d = 1.0 / (w[:, iu] - w[:, ju])
+            ok = np.isfinite(d)
+            inv = np.zeros((len(live), n, n), dtype=complex)
+            inv[:, iu, ju] = np.where(ok, d, 0.0)
+            inv[:, ju, iu] = np.where(ok, -d, 0.0)
+            # keep numpy's pairwise sum: a running sum rounds differently for n >= 4
             repulsion = inv.sum(axis=2)
             denom = 1.0 - newton * repulsion
             step = newton / np.where(denom == 0, 1.0, denom)
             step = np.where(np.isfinite(step), step, 0.0)
             step = np.where(frozen, 0.0, step)
-            z = z - step
-            frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + np.abs(z))
+            w = w - step
+            frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + np.abs(w))
+        z[live] = w
 
         for _ in range(NEWTON_POLISH_STEPS):
             p, dp = _horner(coeffs, z)
             trial = z - p / dp
             trial = np.where(np.isfinite(trial), trial, z)
-            pt, _ = _horner(coeffs, trial)
+            pt = _horner(coeffs, trial, order=0)
             z = np.where(np.abs(pt) <= np.abs(p), trial, z)
 
         z = _pair_polish(coeffs, z)
 
-    p, _ = _horner(coeffs, z)
-    floor, _ = _noise_bounds(coeffs, np.abs(z))
+    p = _horner(coeffs, z, order=0)
+    floor = _noise_bounds(coeffs, np.abs(z), order=0)
     bad = np.abs(p) > 1e3 * floor
     if bad.any():
         worst = int(np.argmax(np.abs(p).max(axis=1)))

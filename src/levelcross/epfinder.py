@@ -29,6 +29,7 @@ GAP_TOL = 1e-8            # coalescence detection threshold
 SCAN_POINTS = 51          # per axis, endpoints included
 SCAN_TIE_RTOL = 1e-6      # scan cells this close to the best gap tie
 MAX_REFINE_ITER = 50      # Newton iterations after the scan
+STALL_RTOL = 1e-3         # a Newton step that moves the gap by less ends the search
 NEWTON_STEP = 1e-7        # forward-difference step as a fraction of the box width
 PROBE_SCALE = 1e-4        # probe offset as a fraction of the box width
 PROBE_MAX_DOUBLINGS = 50  # outward pushes of a probe that lands on a defective spectrum
@@ -117,9 +118,13 @@ def find_ep(
     pair from the winning cell, at most MAX_REFINE_ITER steps. Each step
     solves the point and its two forward neighbours, NEWTON_STEP box
     widths away along a and t, in one batch, and the new point is
-    clipped to the box. Converged means a gap below GAP_TOL was seen;
-    otherwise, or if the Jacobian is singular, the best point seen is
-    still reported. Deterministic for fixed inputs.
+    clipped to the box. A step that changes the gap by less than
+    STALL_RTOL of its value ends the search: Newton has settled on a
+    point where g is not 0, such as the edge of a box that holds no EP.
+    On the way to an EP the gap moves by far more per step.
+    Converged means a gap below GAP_TOL was seen; otherwise, or if the
+    Jacobian is singular, the best point seen is still reported.
+    Deterministic for fixed inputs.
     """
     (a_lo, a_hi), (t_lo, t_hi) = box
     lo = np.array([a_lo, t_lo], dtype=float)
@@ -146,13 +151,18 @@ def find_ep(
     x = grid[start]
     best_x, best_gap, best_pair = x, float(gaps[start]), (iu[start], ju[start])
     step = NEWTON_STEP * (hi - lo)
-    for _ in range(MAX_REFINE_ITER):
+    prev = best_gap
+    for k in range(MAX_REFINE_ITER):
         if best_gap < GAP_TOL:
             break
         step_x = np.where(x + step > hi, -step, step)
         diff, iu, ju = closest(x + np.vstack([np.zeros(2), np.diag(step_x)]))
-        if abs(diff[0]) < best_gap:
-            best_x, best_gap, best_pair = x, float(abs(diff[0])), (iu[0], ju[0])
+        gap = float(abs(diff[0]))
+        if gap < best_gap:
+            best_x, best_gap, best_pair = x, gap, (iu[0], ju[0])
+        if k and abs(gap - prev) <= STALL_RTOL * prev:
+            break  # a Newton step (pass 0 is the scan cell) left the gap in place
+        prev = gap
         g = diff * diff
         slope = (g[1:] - g[0]) / step_x  # dg/da, dg/dt
         try:

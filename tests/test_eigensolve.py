@@ -9,17 +9,24 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import levelcross.eigensolve as es
 from levelcross.eigensolve import (
     BIORTH_TOL,
     BiorthogonalityError,
+    CLUSTER_RTOL,
     EPS,
     GAP_GUARD,
+    NEWTON_POLISH_STEPS,
+    ROOT_RTOL,
+    RootConvergenceError,
     _canonicalize,
     char_poly_batch,
     eigenvalues_batch,
     poly_roots_batch,
     solve_spectrum_batch,
 )
+from levelcross.model import build_hamiltonian_batch, scenario_from_dict
+from levelcross.presets import PRESET_IDS, preset
 
 
 def random_symmetric(rng, n, m=1):
@@ -158,6 +165,219 @@ def test_roots_are_deterministic():
     first = poly_roots_batch(coeffs.copy())
     second = poly_roots_batch(coeffs.copy())
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# roots against the full-batch Aberth loop
+#
+# The reference below is the root finder as it was before converged rows
+# left the iteration: every row is iterated until all rows are frozen.
+# Taking rows out must not change a single bit of any root.
+
+
+def _reference_horner(coeffs, z, order=1):
+    n = coeffs.shape[1] - 1
+    p = np.broadcast_to(coeffs[:, n, None], z.shape).copy()
+    dp = np.zeros_like(z)
+    ddp = np.zeros_like(z) if order >= 2 else None
+    for j in range(n - 1, -1, -1):
+        if order >= 2:
+            ddp = ddp * z + 2.0 * dp
+        dp = dp * z + p
+        p = p * z + coeffs[:, j, None]
+    if order >= 2:
+        return p, dp, ddp
+    return p, dp
+
+
+def _reference_noise_bounds(coeffs, zabs):
+    n = coeffs.shape[1] - 1
+    acs = np.abs(coeffs)
+    b0 = np.broadcast_to(acs[:, n, None], zabs.shape).copy()
+    b1 = np.zeros_like(zabs)
+    for j in range(n - 1, -1, -1):
+        b1 = b1 * zabs + b0
+        b0 = b0 * zabs + acs[:, j, None]
+    scale = 8.0 * n * EPS
+    return scale * b0, scale * b1
+
+
+def _reference_pair_polish(coeffs, z):
+    m, n = z.shape
+    for i in range(n):
+        for j in range(i + 1, n):
+            close = np.abs(z[:, i] - z[:, j]) <= CLUSTER_RTOL * (1.0 + np.abs(z[:, i]))
+            if not close.any():
+                continue
+            rows = np.flatnonzero(close)
+            mu = 0.5 * (z[rows, i] + z[rows, j])[:, None]
+            p, dp, ddp = _reference_horner(coeffs[rows], mu, order=2)
+            pn, dpn = _reference_noise_bounds(coeffs[rows], np.abs(mu))
+            disc = dp * dp - 2.0 * p * ddp
+            floor = 4.0 * (pn * np.abs(ddp) + dpn * (np.abs(dp) + dpn))
+            snap = (np.abs(disc) <= floor) & (ddp != 0)
+            if not snap.any():
+                continue
+            double = (mu - dp / np.where(ddp == 0, 1.0, ddp))[:, 0]
+            hit = rows[snap[:, 0]]
+            z[hit, i] = double[snap[:, 0]]
+            z[hit, j] = double[snap[:, 0]]
+    return z
+
+
+def reference_roots(coeffs):
+    """Full-batch Aberth iteration; reads es.ROOT_MAX_ITER at call time."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    lead = coeffs[:, -1:]
+    coeffs = coeffs / lead
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    if n == 1:
+        return -coeffs[:, :1]
+
+    radius = 1.0 + np.max(np.abs(coeffs[:, :n]), axis=1)
+    angles = (2.0 * np.pi * np.arange(n) + 0.5 * np.pi) / n
+    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    frozen = np.zeros((m, n), dtype=bool)
+    eye = np.arange(n)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(es.ROOT_MAX_ITER):
+            p, dp = _reference_horner(coeffs, z)
+            floor, _ = _reference_noise_bounds(coeffs, np.abs(z))
+            frozen |= np.abs(p) <= floor
+            if frozen.all():
+                break
+            newton = p / dp
+            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + np.abs(z)))
+            inv = 1.0 / (z[:, :, None] - z[:, None, :])
+            inv[:, eye, eye] = 0.0
+            inv = np.where(np.isfinite(inv), inv, 0.0)
+            repulsion = inv.sum(axis=2)
+            denom = 1.0 - newton * repulsion
+            step = newton / np.where(denom == 0, 1.0, denom)
+            step = np.where(np.isfinite(step), step, 0.0)
+            step = np.where(frozen, 0.0, step)
+            z = z - step
+            frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + np.abs(z))
+
+        for _ in range(NEWTON_POLISH_STEPS):
+            p, dp = _reference_horner(coeffs, z)
+            trial = z - p / dp
+            trial = np.where(np.isfinite(trial), trial, z)
+            pt, _ = _reference_horner(coeffs, trial)
+            z = np.where(np.abs(pt) <= np.abs(p), trial, z)
+
+        z = _reference_pair_polish(coeffs, z)
+
+    p, _ = _reference_horner(coeffs, z)
+    floor, _ = _reference_noise_bounds(coeffs, np.abs(z))
+    bad = np.abs(p) > 1e3 * floor
+    if bad.any():
+        worst = int(np.argmax(np.abs(p).max(axis=1)))
+        raise RootConvergenceError(worst, float(np.abs(p[worst]).max()))
+    return z
+
+
+def outcome(solve, coeffs):
+    """The roots' bit patterns, or the error's (batch_index, residual)."""
+    try:
+        return solve(coeffs.copy()).view(np.uint64)
+    except RootConvergenceError as err:
+        return err.batch_index, err.residual
+
+
+def assert_same_outcome(coeffs):
+    want, got = outcome(reference_roots, coeffs), outcome(poly_roots_batch, coeffs)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def star_spec(order, steps):
+    """fig5 widened to `order` levels: order-1 parallel levels 0.05 apart,
+    all coupled to one level e = a with the gaussian profile."""
+    levels = [{"e": f"{1 + 0.05 * k!r} - a/2", "gamma_half": 0.5} for k in range(order - 1)]
+    return {
+        "label": f"star{order}",
+        "levels": levels + [{"e": "a", "gamma_half": 0.5}],
+        "coupling": {
+            "omega": {"re": 0.05, "im": 0.05},
+            "profile": "gaussian",
+            "pairs": [[k + 1, order] for k in range(order - 1)],
+            "selfenergy": {},
+        },
+        "sweep": {"a_min": -0.5, "a_max": 2.0, "steps": steps},
+    }
+
+
+def grid_coeffs(scenario, steps):
+    a = np.linspace(scenario.sweep.a_min, scenario.sweep.a_max, steps)
+    return char_poly_batch(build_hamiltonian_batch(scenario, a))
+
+
+def random_coeffs(rng, degree, m):
+    """Monic polynomials from random roots: m plain rows, m with a pair
+    1e-7 apart and m with an exact double root (degree >= 2)."""
+    roots = rng.normal(size=(3, m, degree)) + 1j * rng.normal(size=(3, m, degree))
+    if degree >= 2:
+        roots[1, :, 1] = roots[1, :, 0] + 1e-7 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        roots[2, :, 1] = roots[2, :, 0]
+    return np.array([np.poly(r)[::-1] for r in roots.reshape(-1, degree)])
+
+
+def mixed_batch():
+    """Degree-4 rows: 10 with distinct roots, then 10 with a pair 1e-7
+    apart, 10 with a double root and 10 with a triple root."""
+    rng = np.random.default_rng(3)
+    roots = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    roots[10:20, 1] = roots[10:20, 0] + 1e-7
+    roots[20:30, 1] = roots[20:30, 0]
+    roots[30:, 1:3] = roots[30:, :1]
+    return np.array([np.poly(r)[::-1] for r in roots])
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_roots_match_the_full_batch_loop_on_presets(pid):
+    assert_same_outcome(grid_coeffs(preset(pid), 2001))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_roots_match_the_full_batch_loop_on_star_scenarios(order):
+    assert_same_outcome(grid_coeffs(scenario_from_dict(star_spec(order, 2001)), 2001))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_roots_match_the_full_batch_loop_on_random_polynomials(degree):
+    assert_same_outcome(random_coeffs(np.random.default_rng(100 + degree), degree, 300))
+
+
+def test_row_roots_do_not_depend_on_the_batch():
+    coeffs = np.concatenate(
+        [mixed_batch(), grid_coeffs(scenario_from_dict(star_spec(4, 101)), 101)]
+    )
+    together = poly_roots_batch(coeffs).view(np.uint64)
+    reversed_order = poly_roots_batch(coeffs[::-1].copy())[::-1].view(np.uint64)
+    alone = np.concatenate([poly_roots_batch(row[None]) for row in coeffs]).view(np.uint64)
+    assert np.array_equal(together, alone)
+    assert np.array_equal(together, reversed_order)
+
+
+def test_iteration_cap_matches_the_full_batch_loop(monkeypatch):
+    coeffs = mixed_batch()
+    full = poly_roots_batch(coeffs).view(np.uint64)
+    errors = 0
+    for cap in range(1, 25):
+        monkeypatch.setattr(es, "ROOT_MAX_ITER", cap)
+        assert_same_outcome(coeffs)
+        try:
+            capped = poly_roots_batch(coeffs).view(np.uint64)
+        except RootConvergenceError:
+            errors += 1
+            continue
+        # the distinct-root rows froze early and keep their bits
+        assert np.array_equal(capped[:10], full[:10])
+    assert 0 < errors < 24  # both the error and the written-back paths ran
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,30 @@ def test_find_ep_empty_box_reports_not_converged():
     assert 0.4 <= report.location[1] <= 0.8
 
 
+def test_empty_box_stops_once_newton_settles(eigen_calls):
+    # the closest approach lies on the a = 0.3 edge: the first Newton step
+    # leaves the gap within STALL_RTOL, so the search ends there
+    sc = two_level_constant()
+    report = find_ep(sc, TUNE_G2, ((0.0, 0.3), (0.4, 0.8)))
+    assert eigen_calls == [SCAN_POINTS**2, 3, 3]
+    assert not report.converged
+    assert report.location[0] == 0.3
+    assert report.gap == pytest.approx(np.sqrt(0.3125), rel=1e-5)
+
+
+def test_stall_stop_spares_a_search_that_wanders_before_converging(eigen_calls):
+    # from the scan cell the gap rises and falls for several steps
+    # before Newton closes in on this EP
+    sc, tune = preset("fig4"), Tunable("gamma_half", 0)
+    report = find_ep(sc, tune, BOX)
+    assert report.converged
+    assert len(eigen_calls) - 1 == 12
+    a, t = report.location
+    values = np.linalg.eigvals(build_hamiltonian_batch(sc, [a], tunable=tune, value=t)[0])
+    iu, ju = np.triu_indices(4, 1)
+    assert np.abs(values[iu] - values[ju]).min() < 1e-5
+
+
 def test_degenerate_box_rejected():
     sc = two_level_constant()
     with pytest.raises(ValueError, match="degenerate"):
