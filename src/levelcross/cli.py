@@ -153,6 +153,14 @@ def _resolve_scenario(args) -> Scenario:
     return scenario
 
 
+def _source_flags(args) -> list[str]:
+    """The --preset/--scenario and --profile flags, echoed into the manifest."""
+    flags = ["--preset", args.preset] if args.preset else ["--scenario", args.scenario]
+    if args.profile:
+        flags += ["--profile", args.profile]
+    return flags
+
+
 def _grid_text(grid: SweepGrid) -> str:
     return f"{grid.a_min:.17g}:{grid.a_max:.17g}:{grid.steps}"
 
@@ -258,10 +266,7 @@ def cmd_sweep(args) -> int:
     except (ScenarioError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    command = ["sweep"]
-    command += ["--preset", args.preset] if args.preset else ["--scenario", args.scenario]
-    if args.profile:
-        command += ["--profile", args.profile]
+    command = ["sweep", *_source_flags(args)]
     command += ["--grid", _grid_text(scenario.sweep), "--threads", str(args.threads)]
     command += ["--out", args.out]
     if args.svg:
@@ -290,10 +295,7 @@ def cmd_ep(args) -> int:
     except SolverError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    command = ["ep"]
-    command += ["--preset", args.preset] if args.preset else ["--scenario", args.scenario]
-    if args.profile:
-        command += ["--profile", args.profile]
+    command = ["ep", *_source_flags(args)]
     command += ["--tune", args.tune, "--box", args.box, "--out", args.out]
     _write_json(
         out / "ep.json",

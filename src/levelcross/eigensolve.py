@@ -266,12 +266,11 @@ def _sort_values(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # null vectors via complex Gaussian elimination with partial pivoting
 
-def _null_vectors(amat: np.ndarray):
-    """One null vector per batch matrix, plus all pivot magnitudes.
+def _eliminate(amat: np.ndarray):
+    """Upper-triangular factor of each batch matrix, plus |pivots|.
 
-    amat: (m, n, n), assumed (numerically) singular. Elimination with
-    partial pivoting; the free column is the smallest |pivot|; the unit
-    entry goes there and the rest back-substitutes.
+    amat: (m, n, n). Elimination with partial (row) pivoting; columns
+    keep their order, so a tiny pivot marks a null direction.
     """
     a = np.asarray(amat, dtype=complex).copy()
     m, n = a.shape[0], a.shape[1]
@@ -288,34 +287,30 @@ def _null_vectors(amat: np.ndarray):
             factor = np.where(head[:, None] == 0, 0.0, factor)
             a[:, k + 1 :, k + 1 :] -= factor[:, :, None] * a[:, k, k + 1 :][:, None, :]
             a[:, k + 1 :, k] = 0.0
-        pivots = np.abs(np.diagonal(a, axis1=1, axis2=2))
-        free = np.argmin(pivots, axis=1)
-        x = np.zeros((m, n), dtype=complex)
-        x[rows, free] = 1.0
+    return a, np.abs(np.diagonal(a, axis1=1, axis2=2))
+
+
+def _back_substitute(u: np.ndarray, free: np.ndarray, held=None) -> np.ndarray:
+    """Solve u x = 0 with x[free] = 1 and every entry past free 0.
+
+    held (m, n), optional, marks columns kept at 0 rather than solved for:
+    the other null directions of a degenerate eigenvalue.
+    """
+    m, n = u.shape[0], u.shape[1]
+    x = np.zeros((m, n), dtype=complex)
+    x[np.arange(m), free] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 2, -1, -1):
             active = i < free
+            if held is not None:
+                active &= ~held[:, i]
             if not active.any():
                 continue
-            partial = -(a[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
-            head = a[:, i, i]
+            partial = -(u[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
+            head = u[:, i, i]
             xi = partial / np.where(head == 0, 1.0, head)
             xi = np.where(head == 0, 0.0, xi)
             x[:, i] = np.where(active, xi, x[:, i])
-    return x, pivots
-
-
-def _null_vector_single(amat: np.ndarray, free: int) -> np.ndarray:
-    """Null vector of one matrix with a chosen free column."""
-    n = amat.shape[0]
-    a = np.asarray(amat, dtype=complex).copy()
-    cols = [c for c in range(n) if c != free]
-    x = np.zeros(n, dtype=complex)
-    x[free] = 1.0
-    rhs = -a[:, free]
-    sub = a[:, cols]
-    # least-squares on the reduced system tolerates extra null directions
-    sol, _, _, _ = np.linalg.lstsq(sub, rhs, rcond=None)
-    x[cols] = sol
     return x
 
 
@@ -343,20 +338,18 @@ def _repair_degenerate(values, vectors, h, points):
             if len(group) < 2:
                 continue
             seen.update(group)
-            amat = h[point] - values[point, i] * np.eye(n)
-            _, profile = _null_vectors(amat[None, :, :])
-            profile = profile[0]
-            tiny = TINY_PIVOT_FACTOR * EPS * max(scale[point], 1.0)
-            if int((profile <= tiny).sum()) < 2:
+            u, profile = _eliminate((h[point] - values[point, i] * np.eye(n))[None])
+            tiny = profile <= TINY_PIVOT_FACTOR * EPS * max(scale[point], 1.0)
+            if int(tiny.sum()) < 2:
                 continue  # defective coalescence: shared direction stands
-            order = np.argsort(profile, kind="stable")
+            order = np.argsort(profile[0], kind="stable")
             basis = []
             for member, free in zip(group, order[: len(group)]):
-                v = _null_vector_single(amat, int(free))
-                for u in basis:
-                    uu = (u * u).sum()
-                    if abs(uu) > DEFECTIVE_RTOL * (np.abs(u) ** 2).sum():
-                        v = v - (v * u).sum() / uu * u
+                v = _back_substitute(u, free[None], tiny)[0]
+                for b in basis:
+                    bb = (b * b).sum()
+                    if abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum():
+                        v = v - (v * b).sum() / bb * b
                 basis.append(v)
                 vectors[point, member] = v
     return vectors
@@ -435,8 +428,9 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
     for i in range(n):
-        shifted = h - values[:, i, None, None] * eye
-        vectors[:, i, :], _ = _null_vectors(shifted)
+        # the free column of each null vector is its smallest pivot
+        u, pivots = _eliminate(h - values[:, i, None, None] * eye)
+        vectors[:, i, :] = _back_substitute(u, np.argmin(pivots, axis=1))
 
     gap = np.abs(values[:, :, None] - values[:, None, :])
     idx = np.arange(n)

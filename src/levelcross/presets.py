@@ -1,5 +1,7 @@
 """Bundled sweep scenarios.
 
+Each preset is a JSON file in the package's scenarios/ directory, in the
+canonical form save_scenario writes; the files are the only definition.
 The fig1..fig9 ids name standard parameter sets for the avoided-crossing
 case studies this package reproduces; two_cross_two is an illustrative
 arrangement with two descending levels crossing two ascending ones.
@@ -15,136 +17,48 @@ fig6  as fig5 with couplings to the crossing level only, weighted by the
 fig7  as fig6 plus a selfenergy shift on the crossing level
 fig8  as fig6 with a ten times smaller imaginary coupling part
 fig9  Coulomb-like energy trajectories, otherwise as fig4
+
+Grid notes. Every preset has 2001 points. fig1-4 and two_cross_two sweep
+[0, 1.5] and fig9 [0, 4]. fig5 sweeps [-0.5, 2.0]: with equal widths the
+levels need distance from the crossing region before all widths settle
+back to 0.5. fig6-8 sweep [0.5, 0.85], the window that frames the
+crossing region; outside it the energy-weighted couplings leave no
+visible trace and the selfenergy variant would become indistinguishable
+at the window edges.
 """
 
 from __future__ import annotations
 
+from importlib import resources
 from pathlib import Path
 
-from .expressions import parse_expr
-from .model import (
-    CouplingSpec,
-    LevelSpec,
-    Scenario,
-    ScenarioError,
-    SweepGrid,
-    save_scenario,
-)
+from .model import Scenario, ScenarioError, load_scenario
 
 __all__ = ["PRESET_IDS", "export_presets", "preset"]
 
-PRESET_IDS = (
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "two_cross_two",
+_FILES = resources.files(__package__) / "scenarios"
+
+PRESET_IDS = tuple(
+    sorted(f.name.removesuffix(".json") for f in _FILES.iterdir() if f.name.endswith(".json"))
 )
-
-_W = 0.05 + 0.05j
-_TWO_LINEAR = ("1 - a/2", "a")
-_FOUR_LINEAR = ("1 - a/2", "1.05 - a/2", "1.1 - a/2", "a")
-_FOUR_COULOMB = (
-    "1 - 1/(a + 1)",
-    "1.05 - 1/(a + 1)",
-    "1.1 - 1/(a + 1)",
-    "1/(a + 1)",
-)
-_GAMMA_FOUR = (0.5, 0.4, 0.6, 0.58523)
-_STAR_PAIRS = ((0, 3), (1, 3), (2, 3))
-_TWO_BY_TWO_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
-def _build(label, exprs, gammas, omega, profile, pairs, grid, selfenergy=None):
-    return Scenario(
-        label=label,
-        levels=tuple(
-            LevelSpec(energy_expr=parse_expr(e), half_width=g)
-            for e, g in zip(exprs, gammas)
-        ),
-        coupling=CouplingSpec(
-            omega=omega,
-            profile=profile,
-            active_pairs=frozenset(pairs),
-            selfenergy=selfenergy or {},
-        ),
-        sweep=SweepGrid(*grid),
-    )
-
-
-def _two_level(label, gamma2_half, omega):
-    return _build(
-        label, _TWO_LINEAR, (0.5, gamma2_half), omega, "gaussian",
-        ((0, 1),), (0.0, 1.5, 2001),
-    )
-
-
-# Grid notes. fig5 sweeps [-0.5, 2.0]: with equal widths the levels need
-# distance from the crossing region before all widths settle back to 0.5.
-# fig6-8 sweep the window that frames the crossing region; outside it the
-# energy-weighted couplings leave no visible trace and the selfenergy
-# variant would become indistinguishable at the window edges.
-_BUILDERS = {
-    "fig1": lambda: _two_level("fig1", 0.5999, 0.05 + 0j),
-    "fig2": lambda: _two_level("fig2", 0.5980, _W),
-    "fig3": lambda: _two_level("fig3", 0.5, 0.05j),
-    "fig4": lambda: _build(
-        "fig4", _FOUR_LINEAR, _GAMMA_FOUR, _W, "gaussian", _STAR_PAIRS,
-        (0.0, 1.5, 2001),
-    ),
-    "fig5": lambda: _build(
-        "fig5", _FOUR_LINEAR, (0.5, 0.5, 0.5, 0.5), _W, "gaussian",
-        _STAR_PAIRS, (-0.5, 2.0, 2001),
-    ),
-    "fig6": lambda: _build(
-        "fig6", _FOUR_LINEAR, (0.5, 0.5, 0.5, 0.5), _W,
-        "energy_weighted_gaussian", _STAR_PAIRS, (0.5, 0.85, 2001),
-    ),
-    "fig7": lambda: _build(
-        "fig7", _FOUR_LINEAR, (0.5, 0.5, 0.5, 0.5), _W,
-        "energy_weighted_gaussian", _STAR_PAIRS, (0.5, 0.85, 2001),
-        selfenergy={3: _W},
-    ),
-    "fig8": lambda: _build(
-        "fig8", _FOUR_LINEAR, (0.5, 0.5, 0.5, 0.5), 0.05 + 0.005j,
-        "energy_weighted_gaussian", _STAR_PAIRS, (0.5, 0.85, 2001),
-    ),
-    "fig9": lambda: _build(
-        "fig9", _FOUR_COULOMB, _GAMMA_FOUR, _W, "gaussian", _STAR_PAIRS,
-        (0.0, 4.0, 2001),
-    ),
-    "two_cross_two": lambda: _build(
-        "two_cross_two",
-        ("1 - a/2", "1.05 - a/2", "0.05 + a", "a"),
-        _GAMMA_FOUR, _W, "gaussian", _TWO_BY_TWO_PAIRS, (0.0, 1.5, 2001),
-    ),
-}
 
 
 def preset(preset_id: str) -> Scenario:
     """The bundled scenario registered under preset_id."""
-    try:
-        build = _BUILDERS[preset_id]
-    except KeyError:
+    if preset_id not in PRESET_IDS:
         known = ", ".join(PRESET_IDS)
-        raise ScenarioError(
-            f"unknown preset {preset_id!r}; available: {known}"
-        ) from None
-    return build()
+        raise ScenarioError(f"unknown preset {preset_id!r}; available: {known}")
+    with resources.as_file(_FILES / f"{preset_id}.json") as path:
+        return load_scenario(path)
 
 
 def export_presets(directory) -> list[Path]:
-    """Write every preset as <id>.json under directory; returns the paths."""
+    """Copy every preset file to <id>.json under directory; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for preset_id in PRESET_IDS:
         path = directory / f"{preset_id}.json"
-        save_scenario(preset(preset_id), path)
+        path.write_bytes((_FILES / f"{preset_id}.json").read_bytes())
         paths.append(path)
     return paths

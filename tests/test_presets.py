@@ -1,20 +1,26 @@
-"""Bundled scenario definitions and their serialized copies."""
+"""Bundled scenario files and the loader over them."""
 
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levelcross.expressions import eval_expr, to_text
+import levelcross
 from levelcross.model import (
     ScenarioError,
     load_scenario,
+    save_scenario,
     scenario_to_dict,
 )
 from levelcross.presets import PRESET_IDS, export_presets, preset
 
-SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGED = Path(levelcross.__file__).resolve().parent / "scenarios"
 
 
 def test_registry_ids():
@@ -96,15 +102,37 @@ def test_round_trip_is_exact(tmp_path):
         ]
 
 
-def test_shipped_files_match_the_registry(tmp_path):
-    fresh = {p.name: p.read_text() for p in export_presets(tmp_path)}
-    for name, text in fresh.items():
-        shipped = SHIPPED / name
-        assert shipped.exists(), f"scenarios/{name} missing"
-        assert shipped.read_text() == text, f"scenarios/{name} out of date"
+def test_packaged_files_are_canonical(tmp_path):
+    # each file is in the form save_scenario writes, and the export copies it
+    assert (ROOT / "scenarios").resolve() == PACKAGED
+    exported = {p.name: p.read_bytes() for p in export_presets(tmp_path / "export")}
+    for pid in PRESET_IDS:
+        packaged = PACKAGED / f"{pid}.json"
+        saved = tmp_path / f"{pid}.json"
+        save_scenario(load_scenario(packaged), saved)
+        assert saved.read_bytes() == packaged.read_bytes(), pid
+        assert exported[f"{pid}.json"] == packaged.read_bytes(), pid
+
+
+def test_built_package_ships_every_preset(tmp_path):
+    # build_py writes src/levelcross.egg-info, so build from a copy
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copytree(
+        ROOT / "src", tmp_path / "src",
+        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+    )
+    subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "-q", "build_py", "-d", str(tmp_path / "lib")],
+        cwd=tmp_path, check=True, capture_output=True,
+    )
+    shipped = tmp_path / "lib" / "levelcross" / "scenarios"
+    assert sorted(p.name for p in shipped.iterdir()) == [
+        f"{pid}.json" for pid in PRESET_IDS
+    ]
 
 
 def test_files_use_one_based_level_indices():
-    obj = json.loads((SHIPPED / "fig7.json").read_text())
+    obj = json.loads((PACKAGED / "fig7.json").read_text())
     assert obj["coupling"]["pairs"] == [[1, 4], [2, 4], [3, 4]]
     assert list(obj["coupling"]["selfenergy"]) == ["4"]
