@@ -11,6 +11,7 @@ from .model import (
     ScenarioError,
     SweepGrid,
     Tunable,
+    bare_levels,
     build_hamiltonian_batch,
     level_energies,
     load_scenario,
@@ -53,6 +54,7 @@ __all__ = [
     "ScenarioError",
     "SweepGrid",
     "Tunable",
+    "bare_levels",
     "build_hamiltonian_batch",
     "level_energies",
     "load_scenario",

@@ -4,8 +4,9 @@ sweep      solve a scenario over its grid, write CSV/JSON (and SVG)
 ep         search a box for an exceptional point, write ep.json
 reproduce  run every fig* preset into a directory tree
 
-Exit codes: 0 success, 1 unusable input (flags, scenario file, box),
-2 solver failure, 3 exceptional point search did not converge. Every
+Exit codes: 0 success, 1 unusable input (flags, scenario file, box, an
+expression fault on the grid or in the box, an unusable --out), 2
+solver failure, 3 exceptional point search did not converge. Every
 output set comes with a manifest.json naming the exact command; the
 CSV it reproduces is byte-identical run to run.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .eigensolve import DEFECTIVE_RTOL, ROOT_MAX_ITER, ROOT_RTOL, SolverError
 from .epfinder import GAP_TOL, MAX_REFINE_ITER, SCAN_POINTS, find_ep
-from .expressions import ParseError
+from .expressions import EvalError, ParseError
 from .model import Scenario, ScenarioError, SweepGrid, Tunable, load_scenario, with_profile
 from .presets import PRESET_IDS, preset
 from .svgplot import energies_svg, widths_svg
@@ -112,10 +113,7 @@ def _parse_tune(text: str) -> Tunable:
         raise _UsageError(f"--tune expects KIND:LEVEL, got {text!r}") from err
     if level < 1:
         raise _UsageError("--tune level is 1-based")
-    try:
-        return Tunable(kind, level - 1)
-    except ScenarioError as err:
-        raise _UsageError(str(err)) from err
+    return Tunable(kind, level - 1)
 
 
 def _parse_box(text: str):
@@ -218,12 +216,17 @@ def _manifest(command, scenario, outputs, started, extra=None) -> dict:
     return body
 
 
-def _sweep_into(scenario, out: Path, command, threads, svg, started) -> int:
-    try:
-        result = run_sweep(scenario, workers=threads)
-    except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def cmd_sweep(args) -> int:
+    started = time.perf_counter()
+    scenario = _resolve_scenario(args)
+    command = ["sweep", *_source_flags(args)]
+    command += ["--grid", _grid_text(scenario.sweep), "--threads", str(args.threads)]
+    command += ["--out", args.out]
+    if args.svg:
+        command.append("--svg")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    result = run_sweep(scenario, workers=args.threads)
     events = detect_crossings(result)
     _write_trajectories_csv(out / "trajectories.csv", result)
     _write_json(
@@ -244,7 +247,7 @@ def _sweep_into(scenario, out: Path, command, threads, svg, started) -> int:
         },
     )
     outputs = ["trajectories.csv", "crossings.json"]
-    if svg:
+    if args.svg:
         (out / "energies.svg").write_text(energies_svg(result), encoding="utf-8")
         (out / "widths.svg").write_text(widths_svg(result), encoding="utf-8")
         outputs += ["energies.svg", "widths.svg"]
@@ -259,42 +262,14 @@ def _sweep_into(scenario, out: Path, command, threads, svg, started) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    try:
-        scenario = _resolve_scenario(args)
-    except (ScenarioError, ParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    command = ["sweep", *_source_flags(args)]
-    command += ["--grid", _grid_text(scenario.sweep), "--threads", str(args.threads)]
-    command += ["--out", args.out]
-    if args.svg:
-        command.append("--svg")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return _sweep_into(scenario, out, command, args.threads, args.svg, started)
-
-
 def cmd_ep(args) -> int:
     started = time.perf_counter()
-    try:
-        scenario = _resolve_scenario(args)
-        tunable = _parse_tune(args.tune)
-        box = _parse_box(args.box)
-    except (ScenarioError, ParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    scenario = _resolve_scenario(args)
+    tunable = _parse_tune(args.tune)
+    box = _parse_box(args.box)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        report = find_ep(scenario, tunable, box)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = find_ep(scenario, tunable, box)
     command = ["ep", *_source_flags(args)]
     command += ["--tune", args.tune, "--box", args.box, "--out", args.out]
     _write_json(
@@ -331,33 +306,28 @@ def cmd_ep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     if not args.all:
-        print("error: reproduce requires --all", file=sys.stderr)
-        return 1
+        raise _UsageError("reproduce requires --all")
     base = Path(args.out)
     for pid in PRESET_IDS:
-        if not pid.startswith("fig"):
-            continue
-        started = time.perf_counter()
-        scenario = preset(pid)
-        out = base / pid
-        out.mkdir(parents=True, exist_ok=True)
-        command = [
-            "sweep", "--preset", pid,
-            "--grid", _grid_text(scenario.sweep),
-            "--threads", str(args.threads),
-            "--out", str(out), "--svg",
-        ]
-        status = _sweep_into(scenario, out, command, args.threads, True, started)
-        if status:
-            return status
+        if pid.startswith("fig"):
+            flags = ["--preset", pid, "--threads", str(args.threads), "--svg"]
+            status = main(["sweep", *flags, "--out", str(base / pid)])
+            if status:
+                return status
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; every input fault exits 1 and a solver failure 2,
+    each with an `error:` line on stderr."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         return args.run(args)
-    except _UsageError as err:
+    except (_UsageError, ScenarioError, ParseError, EvalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except SolverError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2

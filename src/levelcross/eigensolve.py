@@ -314,8 +314,9 @@ def _back_substitute(u: np.ndarray, free: np.ndarray, held=None) -> np.ndarray:
     return x
 
 
-def _repair_degenerate(values, vectors, h, points):
-    """Recompute vectors for exactly degenerate eigenvalue groups.
+def _repair_degenerate(values, vectors, h, near):
+    """Recompute vectors for exactly degenerate eigenvalue groups, the
+    pairs i != j marked in near (m, n, n).
 
     A degenerate group with a multi-dimensional null space (true
     crossing of a diagonalizable matrix) gets independent null vectors
@@ -325,11 +326,7 @@ def _repair_degenerate(values, vectors, h, points):
     """
     n = values.shape[1]
     scale = np.abs(h).max(axis=(1, 2))
-    gap = np.abs(values[:, :, None] - values[:, None, :])
-    near = gap <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
-    eye = np.arange(n)
-    near[:, eye, eye] = False
-    for point in np.flatnonzero(points):
+    for point in np.flatnonzero(near.any(axis=(1, 2))):
         seen = set()
         for i in range(n):
             if i in seen:
@@ -421,9 +418,7 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError("expected a stack of square matrices (m, n, n)")
     m, n = h.shape[0], h.shape[1]
-    values = poly_roots_batch(char_poly_batch(h))
-    order = _sort_values(values)
-    values = np.take_along_axis(values, order, axis=1)
+    values = eigenvalues_batch(h)
 
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
@@ -435,11 +430,9 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     gap = np.abs(values[:, :, None] - values[:, None, :])
     idx = np.arange(n)
     gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)
-    degenerate = (
-        gap_offdiag <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
-    ).any(axis=(1, 2))
-    if degenerate.any():
-        vectors = _repair_degenerate(values, vectors, h, degenerate)
+    near = gap_offdiag <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
+    if near.any():
+        vectors = _repair_degenerate(values, vectors, h, near)
 
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)

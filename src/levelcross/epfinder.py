@@ -77,31 +77,31 @@ def probe_norm_blowup(
 ) -> float:
     """Largest A_i over the four probes bracketing `location`.
 
-    One probe per box direction, offset by `offsets` along its axis. A
-    probe landing on a defective spectrum is pushed outward (offset
-    doubled) until clean; A_i is unbounded at the coalescence itself,
-    so only off-point values mean anything. Returns 0.0 if no probe
-    ever comes back clean.
+    One probe per box direction, offset by `offsets` along its axis; the
+    probes of a round solve as one batch. A probe landing on a defective
+    spectrum is pushed outward (offset doubled) into the next round
+    until clean; A_i is unbounded at the coalescence itself, so only
+    off-point values mean anything. Returns 0.0 if no probe ever comes
+    back clean.
     """
-    xa, xt = location
     ha, ht = offsets
+    step = np.array([[ha, 0.0], [-ha, 0.0], [0.0, ht], [0.0, -ht]])
     worst = 0.0
-    for da, dt in ((ha, 0.0), (-ha, 0.0), (0.0, ht), (0.0, -ht)):
-        for _ in range(PROBE_MAX_DOUBLINGS):
-            h = build_hamiltonian_batch(
-                scenario, [xa + da], tunable=tunable, value=xt + dt
-            )
-            try:
-                spectrum = solve_spectrum_batch(h)
-            except (RootConvergenceError, BiorthogonalityError) as err:
-                raise SolverError(
-                    f"eigensolver failed at probe point (a, value)="
-                    f"({xa + da!r}, {xt + dt!r}): {err}"
-                ) from err
-            if not spectrum.defective.any():
-                worst = max(worst, float(spectrum.norm_a.max()))
-                break
-            da, dt = 2.0 * da, 2.0 * dt
+    for _ in range(PROBE_MAX_DOUBLINGS):
+        points = np.asarray(location, dtype=float) + step
+        h = build_hamiltonian_batch(scenario, points[:, 0], tunable=tunable, value=points[:, 1])
+        try:
+            spectrum = solve_spectrum_batch(h)
+        except (RootConvergenceError, BiorthogonalityError) as err:
+            xa, xt = points[err.batch_index].tolist()
+            raise SolverError(
+                f"eigensolver failed at probe point (a, value)=({xa!r}, {xt!r}): {err}"
+            ) from err
+        clean = ~spectrum.defective.any(axis=1)
+        worst = float(spectrum.norm_a[clean].max(initial=worst))
+        step = 2.0 * step[~clean]
+        if not len(step):
+            break
     return worst
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "Scenario",
     "Tunable",
     "PROFILES",
+    "bare_levels",
     "build_hamiltonian_batch",
     "level_energies",
     "scenario_to_dict",
@@ -172,13 +173,15 @@ def _pair_coupling(scenario: Scenario, i: int, j: int, energies: np.ndarray):
     return omega * (energies[:, min(i, j)] * g)
 
 
-def build_hamiltonian_batch(
+def bare_levels(
     scenario: Scenario, a, *, tunable: Tunable | None = None, value=None
 ) -> np.ndarray:
-    """Assemble H(a) for every a in the batch; returns (m, N, N) complex.
+    """Unperturbed complex energies e_i(a) - i gamma_i/2; (m, N) for m
+    parameter values.
 
     With a tunable, `value` (scalar or per-point array) replaces the
-    level's half-width or shifts its energy before assembly.
+    level's half-width or shifts its energy. Couplings and selfenergies
+    are not included.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     n = scenario.n
@@ -193,10 +196,23 @@ def build_hamiltonian_batch(
             gamma[:, tunable.level] = value
         else:
             energies[:, tunable.level] = energies[:, tunable.level] + value
-    h = np.zeros((a.size, n, n), dtype=complex)
-    diag = energies - 1j * gamma
+    return energies - 1j * gamma
+
+
+def build_hamiltonian_batch(
+    scenario: Scenario, a, *, tunable: Tunable | None = None, value=None
+) -> np.ndarray:
+    """Assemble H(a) for every a in the batch; returns (m, N, N) complex.
+
+    The diagonal is bare_levels (tunable override included) plus any
+    selfenergy; the couplings read the overridden energies.
+    """
+    diag = bare_levels(scenario, a, tunable=tunable, value=value)
+    energies = diag.real.copy()  # a view otherwise: the selfenergy must not reach it
+    m, n = diag.shape
     for k, shift in scenario.coupling.selfenergy.items():
         diag[:, k] = diag[:, k] + shift
+    h = np.zeros((m, n, n), dtype=complex)
     h[:, np.arange(n), np.arange(n)] = diag
     for i, j in sorted(scenario.coupling.active_pairs):
         w = _pair_coupling(scenario, i, j, energies)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .eigensolve import (
     SpectrumBatch,
     solve_spectrum_batch,
 )
-from .model import CouplingSpec, Scenario, Tunable, build_hamiltonian_batch
+from .model import Scenario, Tunable, bare_levels, build_hamiltonian_batch
 
 __all__ = [
     "CROSSING_TOL",
@@ -143,29 +143,11 @@ class SweepResult:
         raise KeyError(f"no branch starts at level {level}")
 
 
-def _bare_diagonal(scenario, a, tunable, value):
-    """Unperturbed complex energies eps_i(a) with any override applied,
-    couplings and selfenergies off."""
-    bare = replace(
-        scenario,
-        coupling=CouplingSpec(
-            omega=0.0, profile="constant", active_pairs=(), selfenergy={}
-        ),
-    )
-    h = build_hamiltonian_batch(bare, a, tunable=tunable, value=value)
-    return np.diagonal(h, axis1=1, axis2=2)
-
-
-def _solve_grid(scenario, a, tunable, value, workers):
+def _solve_grid(h, a, workers):
+    """Solve the (m, N, N) stack h, split into `workers` contiguous slices."""
     def solve_chunk(lo, hi):
-        chunk_value = value
-        if isinstance(value, np.ndarray) and value.ndim == 1:
-            chunk_value = value[lo:hi]
-        h = build_hamiltonian_batch(
-            scenario, a[lo:hi], tunable=tunable, value=chunk_value
-        )
         try:
-            return solve_spectrum_batch(h)
+            return solve_spectrum_batch(h[lo:hi])
         except (RootConvergenceError, BiorthogonalityError) as err:
             raise SolverError(
                 f"eigensolver failed at grid point a={float(a[lo + err.batch_index])!r}: {err}"
@@ -176,16 +158,9 @@ def _solve_grid(scenario, a, tunable, value, workers):
         return solve_chunk(0, m)
     bounds = np.linspace(0, m, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda be: solve_chunk(be[0], be[1]), zip(bounds[:-1], bounds[1:]))
-        )
-    return SpectrumBatch(
-        values=np.concatenate([p.values for p in parts]),
-        vectors=np.concatenate([p.vectors for p in parts]),
-        defective=np.concatenate([p.defective for p in parts]),
-        norm_a=np.concatenate([p.norm_a for p in parts]),
-        residual=np.concatenate([p.residual for p in parts]),
-    )
+        parts = list(pool.map(solve_chunk, bounds[:-1], bounds[1:]))
+    columns = {f.name: [getattr(p, f.name) for p in parts] for f in fields(SpectrumBatch)}
+    return SpectrumBatch(**{name: np.concatenate(c) for name, c in columns.items()})
 
 
 def run_sweep(
@@ -203,13 +178,15 @@ def run_sweep(
     """
     a = scenario.sweep.points()
     m, n = a.shape[0], scenario.n
-    batch = _solve_grid(scenario, a, tunable, value, workers)
+    batch = _solve_grid(
+        build_hamiltonian_batch(scenario, a, tunable=tunable, value=value), a, workers
+    )
     rows = np.arange(m)
 
     step_perm = _step_permutations(batch)
 
     # initial branch labels: levels sorted by (e(a_min), gamma/2, index)
-    bare = _bare_diagonal(scenario, a, tunable, value)
+    bare = bare_levels(scenario, a, tunable=tunable, value=value)
     eps0 = bare[0]
     half_widths = -eps0.imag
     level_order = np.lexsort((np.arange(n), half_widths, eps0.real))
@@ -233,9 +210,9 @@ def run_sweep(
                 a=a,
                 energy=values.real.copy(),
                 gamma_half=(-values.imag).copy(),
-                vectors=batch.vectors[rows, seq].copy(),
-                norm_a=batch.norm_a[rows, seq].copy(),
-                defective=batch.defective[rows, seq].copy(),
+                vectors=batch.vectors[rows, seq],
+                norm_a=batch.norm_a[rows, seq],
+                defective=batch.defective[rows, seq],
             )
         )
     return SweepResult(
@@ -243,7 +220,7 @@ def run_sweep(
         a=a,
         trajectories=tuple(trajectories),
         bare=bare,
-        residual=batch.residual.copy(),
+        residual=batch.residual,
     )
 
 
@@ -288,14 +265,16 @@ def _end_levels(result: SweepResult) -> np.ndarray:
     return _best_assignment(-cost[None], cost[None])[0]
 
 
-def detect_crossings(result: SweepResult, tol: float = CROSSING_TOL):
+def detect_crossings(result: SweepResult):
     """Classify crossing events between every branch pair.
 
-    true_energy: the energies agree within tol over a sub-interval while
-    the widths bifurcate; a_cr marks the largest width split.
+    true_energy: the energies agree within CROSSING_TOL over a
+    sub-interval while the widths bifurcate; a_cr marks the largest
+    width split.
     avoided_energy: |E_i - E_j| has a strict three-point local minimum
-    above tol, keeps its sign through the surrounding valley, and the
-    width curves intersect inside the valley; a_cr marks the minimum.
+    above CROSSING_TOL, keeps its sign through the surrounding valley,
+    and the width curves intersect inside the valley; a_cr marks the
+    minimum.
     coalescence: both branches defective (at/near an exceptional point);
     a_cr marks the smallest eigenvalue gap.
     """
@@ -334,7 +313,7 @@ def detect_crossings(result: SweepResult, tol: float = CROSSING_TOL):
                 )
 
             abs_de = np.abs(de)
-            for start, stop in _runs((abs_de < tol) & ~both_def):
+            for start, stop in _runs((abs_de < CROSSING_TOL) & ~both_def):
                 k = start + int(np.argmax(np.abs(dg[start : stop + 1])))
                 events.append(
                     CrossingReport(
@@ -346,7 +325,7 @@ def detect_crossings(result: SweepResult, tol: float = CROSSING_TOL):
                     )
                 )
 
-            for k, lo, hi in _valleys(abs_de, tol):
+            for k, lo, hi in _valleys(abs_de, CROSSING_TOL):
                 dew = de[lo : hi + 1]
                 if not ((dew > 0).all() or (dew < 0).all()):
                     continue  # energy difference changes sign: not avoided

@@ -1,7 +1,10 @@
 """Command line interface: output files, formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +14,8 @@ import pytest
 
 from levelcross.cli import _write_trajectories_csv, main
 from levelcross.eigensolve import SolverError
-from levelcross.model import SweepGrid, load_scenario, save_scenario
+from levelcross.expressions import parse_expr
+from levelcross.model import LevelSpec, SweepGrid, load_scenario, save_scenario
 from levelcross.presets import preset
 from levelcross.svgplot import energies_svg, widths_svg
 from levelcross.sweep import run_sweep
@@ -139,6 +143,68 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "grid point a=0.5" in capsys.readouterr().err
 
 
+def write_pole_scenario(path):
+    """Level 1/a swept over -1:1: the energy expression has a pole at a = 0."""
+    sc = preset("fig1")
+    levels = (LevelSpec(parse_expr("1/a"), 0.5), sc.levels[1])
+    save_scenario(replace(sc, levels=levels, sweep=SweepGrid(-1.0, 1.0, 101)), path)
+    return path
+
+
+def input_faults(tmp_path):
+    pole = str(write_pole_scenario(tmp_path / "pole.json"))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    return {
+        "sweep pole": ["sweep", "--scenario", pole, "--out", str(tmp_path / "o")],
+        "ep pole": [
+            "ep", "--scenario", pole, "--tune", "gamma_half:2", "--box=-1:1,0:1",
+            "--out", str(tmp_path / "o"),
+        ],
+        "sweep --out file": ["sweep", "--preset", "fig1", "--out", str(a_file)],
+        "ep --out file": [
+            "ep", "--preset", "fig1", "--tune", "gamma_half:2", "--box", "0.3:1.0,0.4:0.8",
+            "--out", str(a_file),
+        ],
+        "reproduce --out file": ["reproduce", "--all", "--out", str(a_file)],
+        "sweep --threads 0": ["sweep", "--preset", "fig1", "--threads", "0"],
+        "reproduce --threads -3": ["reproduce", "--all", "--threads", "-3"],
+    }
+
+
+FAULT_MESSAGES = {
+    "sweep pole": "division by zero at a=0.0",
+    "ep pole": "division by zero at a=0.0",
+    "sweep --out file": "File exists",
+    "ep --out file": "File exists",
+    "reproduce --out file": "Not a directory",
+    "sweep --threads 0": "--threads must be >= 1, got 0",
+    "reproduce --threads -3": "--threads must be >= 1, got -3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_MESSAGES))
+def test_input_faults_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    assert main(input_faults(tmp_path)[case]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert FAULT_MESSAGES[case] in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_reports_an_input_fault_without_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "levelcross", *input_faults(tmp_path)["sweep pole"]],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: division by zero at a=0.0\n"
+
+
 def test_ep_prints_location_and_gap(tmp_path, capsys):
     out = tmp_path / "ep"
     code = main(
@@ -223,6 +289,18 @@ def test_reproduce_builds_the_figure_tree(tmp_path):
             "trajectories.csv",
             "widths.svg",
         ]
+    # each figure's files are those of a direct sweep of its preset
+    produced = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    for sub in dirs:
+        flags = ["--preset", sub, "--svg", "--threads", "2"]
+        assert main(["sweep", *flags, "--out", str(out / sub)]) == 0
+    for path, data in produced.items():
+        if path.name == "manifest.json":
+            one, two = json.loads(data), json.loads(path.read_bytes())
+            assert one.pop("duration_seconds") > 0 and two.pop("duration_seconds") > 0
+            assert one == two, path
+        else:
+            assert path.read_bytes() == data, path
 
 
 def test_golden_csv_regression(tmp_path):

@@ -1,10 +1,21 @@
 """Exceptional point search against the two-level closed form."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from levelcross.eigensolve import BiorthogonalityError, SolverError, eigenvalues_batch
+from levelcross import epfinder
+from levelcross.eigensolve import (
+    BiorthogonalityError,
+    SolverError,
+    eigenvalues_batch,
+    solve_spectrum_batch,
+)
 from levelcross.epfinder import (
+    PROBE_MAX_DOUBLINGS,
+    PROBE_SCALE,
     SCAN_POINTS,
     EPReport,
     coalescence_gap,
@@ -209,6 +220,104 @@ def test_probe_failure_names_the_probe_point(monkeypatch):
         SolverError, match=r"probe point \(a, value\)=\(0\.5625, 0\.6\): bilinear overlap"
     ):
         probe_norm_blowup(two_level_constant(), TUNE_G2, (0.5, 0.6), (0.0625, 0.25))
+
+
+def per_probe_norm_blowup(scenario, tunable, location, offsets):
+    """The loop probe_norm_blowup replaced, kept as its oracle: each probe
+    solved alone, doubling its own offset until its spectrum is clean."""
+    xa, xt = location
+    ha, ht = offsets
+    worst = 0.0
+    for da, dt in ((ha, 0.0), (-ha, 0.0), (0.0, ht), (0.0, -ht)):
+        for _ in range(PROBE_MAX_DOUBLINGS):
+            h = build_hamiltonian_batch(scenario, [xa + da], tunable=tunable, value=xt + dt)
+            try:
+                spectrum = epfinder.solve_spectrum_batch(h)
+            except SolverError as err:
+                raise SolverError(f"probe point (a, value)=({xa + da!r}, {xt + dt!r})") from err
+            if not spectrum.defective.any():
+                worst = max(worst, float(spectrum.norm_a.max()))
+                break
+            da, dt = 2.0 * da, 2.0 * dt
+    return worst
+
+
+FIG5_BOX = ((0.5, 0.9), (0.4, 0.8))
+SEARCHES = {
+    "fig1_constant": (two_level_constant(), 1, BOX),
+    "fig1_gaussian": (with_profile(preset("fig1"), "gaussian"), 1, BOX),
+    "fig2": (preset("fig2"), 1, BOX),
+    "fig4": (preset("fig4"), 3, BOX),
+    "fig9": (preset("fig9"), 3, BOX),
+    "fig5": (preset("fig5"), 3, FIG5_BOX),
+    "fig4_level1": (preset("fig4"), 1, BOX),
+    "empty_box": (two_level_constant(), 1, ((0.0, 0.3), (0.4, 0.8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_batched_probes_equal_the_per_probe_loop(name, monkeypatch):
+    sc, level, box = SEARCHES[name]
+    tune = Tunable("gamma_half", level)
+    located = []
+
+    def keep_location(scenario, tunable, location, offsets):
+        located.append((location, offsets))
+        return probe_norm_blowup(scenario, tunable, location, offsets)
+
+    monkeypatch.setattr("levelcross.epfinder.probe_norm_blowup", keep_location)
+    if name != "fig5":
+        report = find_ep(sc, tune, box)
+        assert report.norm_blowup == per_probe_norm_blowup(sc, tune, *located[0])
+        assert located[0][1] == tuple(PROBE_SCALE * (hi - lo) for lo, hi in box)
+        return
+    # fig5's probes hit a solver fault; both name the same probe point
+    with pytest.raises(SolverError) as batched:
+        find_ep(sc, tune, box)
+    with pytest.raises(SolverError) as per_probe:
+        per_probe_norm_blowup(sc, tune, *located[0])
+    point = re.search(r"probe point \(a, value\)=\([^)]*\)", str(per_probe.value)).group()
+    assert point in str(batched.value)
+
+
+def test_batched_probes_double_only_the_defective_ones(monkeypatch):
+    # a stub marks spectra within 6e-4 of the location's H defective: the
+    # a probes (|dH| = 1e-3) are clean at once, the t probes (|dH| = ht)
+    # after three doublings, and the largest A_i is a doubled t probe's
+    sc = two_level_constant()
+    location, offsets = (0.6667, 0.59), (1e-3, 1e-4)
+    h0 = build_hamiltonian_batch(sc, [location[0]], tunable=TUNE_G2, value=location[1])[0]
+    sizes = []
+
+    def near_is_defective(h):
+        sizes.append(len(h))
+        spectrum = solve_spectrum_batch(h)
+        close = np.abs(h - h0).max(axis=(1, 2)) < 6e-4
+        return replace(spectrum, defective=spectrum.defective | close[:, None])
+
+    monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", near_is_defective)
+    batched = probe_norm_blowup(sc, TUNE_G2, location, offsets)
+    assert sizes == [4, 2, 2, 2]
+    sizes.clear()
+    assert batched == per_probe_norm_blowup(sc, TUNE_G2, location, offsets)
+    doubled = build_hamiltonian_batch(sc, [location[0]], tunable=TUNE_G2, value=0.59 + 8e-4)
+    assert batched == solve_spectrum_batch(doubled).norm_a.max()
+
+
+def test_probes_that_never_come_back_clean_give_zero(monkeypatch):
+    # at fig1's EP an offset of 1e-300 doubled 50 times still adds nothing
+    sc = two_level_constant()
+    location = find_ep(sc, TUNE_G2, BOX).location
+    sizes = []
+
+    def counting(h):
+        sizes.append(len(h))
+        return solve_spectrum_batch(h)
+
+    monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", counting)
+    assert probe_norm_blowup(sc, TUNE_G2, location, (1e-300, 1e-300)) == 0.0
+    assert sizes == [4] * PROBE_MAX_DOUBLINGS
+    assert per_probe_norm_blowup(sc, TUNE_G2, location, (1e-300, 1e-300)) == 0.0
 
 
 def test_find_ep_is_deterministic():

@@ -20,6 +20,7 @@ from levelcross.model import (
     Scenario,
     SweepGrid,
     Tunable,
+    bare_levels,
     build_hamiltonian_batch,
 )
 from levelcross.presets import PRESET_IDS, preset
@@ -309,6 +310,49 @@ def test_grid_refinement_keeps_branches():
         assert tc.start_level == tf.start_level
         np.testing.assert_allclose(tc.energy, tf.energy[::2], atol=1e-9)
         np.testing.assert_allclose(tc.gamma_half, tf.gamma_half[::2], atol=1e-9)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_assembly_per_sweep(monkeypatch, workers):
+    calls = []
+
+    def counting(sc, a, **kwargs):
+        calls.append(len(a))
+        return build_hamiltonian_batch(sc, a, **kwargs)
+
+    monkeypatch.setattr("levelcross.sweep.build_hamiltonian_batch", counting)
+    sc = scenario(["1 - a/2", "a"], [0.5, 0.4], omega=0.05, grid=(0.0, 1.5, 151))
+    run_sweep(sc, workers=workers)
+    assert calls == [151]
+
+
+def coupling_free_diagonal(sc, a, tunable=None, value=None):
+    """The bare energies as the diagonal of H with couplings and
+    selfenergies switched off."""
+    free = CouplingSpec(omega=0.0, profile="constant", active_pairs=(), selfenergy={})
+    h = build_hamiltonian_batch(replace(sc, coupling=free), a, tunable=tunable, value=value)
+    return np.diagonal(h, axis1=1, axis2=2)
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_bare_matches_the_coupling_free_diagonal(pid):
+    sc = preset(pid)
+    sc = replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 101))
+    res = run_sweep(sc)
+    assert res.bare.tobytes() == coupling_free_diagonal(sc, res.a).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gamma_half", "energy_offset"])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_bare_matches_the_coupling_free_diagonal_under_a_tunable(kind, per_point):
+    sc = preset("fig7")  # the preset with a selfenergy
+    sc = replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 101))
+    tunable = Tunable(kind, 3)
+    value = np.linspace(0.2, 0.7, 101) if per_point else 0.3
+    res = run_sweep(sc, tunable=tunable, value=value)
+    want = coupling_free_diagonal(sc, res.a, tunable, value)
+    assert res.bare.tobytes() == want.tobytes()
+    assert res.bare.tobytes() == bare_levels(sc, res.a, tunable=tunable, value=value).tobytes()
 
 
 def test_by_start_level_lookup():
