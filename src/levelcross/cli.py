@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
         "--box",
         required=True,
         metavar="ALO:AHI,TLO:THI",
-        help="search rectangle in (a, tunable)",
+        help="search rectangle in (a, tunable); write a negative first bound as --box=-1:1,0:1",
     )
     ep.set_defaults(run=cmd_ep)
 
@@ -224,10 +224,10 @@ def cmd_sweep(args) -> int:
     command += ["--out", args.out]
     if args.svg:
         command.append("--svg")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(scenario, workers=args.threads)
     events = detect_crossings(result)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_trajectories_csv(out / "trajectories.csv", result)
     _write_json(
         out / "crossings.json",
@@ -267,9 +267,9 @@ def cmd_ep(args) -> int:
     scenario = _resolve_scenario(args)
     tunable = _parse_tune(args.tune)
     box = _parse_box(args.box)
+    report = find_ep(scenario, tunable, box)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = find_ep(scenario, tunable, box)
     command = ["ep", *_source_flags(args)]
     command += ["--tune", args.tune, "--box", args.box, "--out", args.out]
     _write_json(

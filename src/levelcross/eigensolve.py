@@ -21,6 +21,16 @@ members snap to the model's double root (their gap becomes exactly 0);
 otherwise the pair is kept as iterated. Without the snap, every
 eigenvalue gap at an exact coalescence would float at the sqrt(eps)
 noise level and coalescence could never be detected cleanly.
+
+Eigenvalues within DEGENERATE_RTOL of each other are exactly degenerate.
+A group is a leader, the lowest index that no earlier group holds, and
+the later values near it; all members use the leader's elimination of
+H - lambda I. With two or more pivots below TINY_PIVOT_FACTOR * eps *
+max(max|H|, 1) the group is a true crossing: its r-th member takes the
+r-th smallest pivot (stable order) as free column, holds the other tiny
+columns at 0 and is bilinearly orthogonalized against the earlier
+members. Otherwise it is a coalescence whose members keep one shared
+direction, flagged defective downstream.
 """
 
 from __future__ import annotations
@@ -258,11 +268,6 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sort_values(values: np.ndarray) -> np.ndarray:
-    """Batch argsort by (Re, Im); returns index array (m, n)."""
-    return np.lexsort((values.imag, values.real), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # null vectors via complex Gaussian elimination with partial pivoting
 
@@ -314,42 +319,24 @@ def _back_substitute(u: np.ndarray, free: np.ndarray, held=None) -> np.ndarray:
     return x
 
 
-def _repair_degenerate(values, vectors, h, near):
-    """Recompute vectors for exactly degenerate eigenvalue groups, the
-    pairs i != j marked in near (m, n, n).
-
-    A degenerate group with a multi-dimensional null space (true
-    crossing of a diagonalizable matrix) gets independent null vectors
-    from distinct free columns, bilinearly orthogonalized. A group with
-    a one-dimensional null space is a genuine coalescence and keeps the
-    shared direction (flagged defective downstream).
-    """
-    n = values.shape[1]
-    scale = np.abs(h).max(axis=(1, 2))
-    for point in np.flatnonzero(near.any(axis=(1, 2))):
-        seen = set()
-        for i in range(n):
-            if i in seen:
-                continue
-            group = [i] + [j for j in range(i + 1, n) if near[point, i, j]]
-            if len(group) < 2:
-                continue
-            seen.update(group)
-            u, profile = _eliminate((h[point] - values[point, i] * np.eye(n))[None])
-            tiny = profile <= TINY_PIVOT_FACTOR * EPS * max(scale[point], 1.0)
-            if int(tiny.sum()) < 2:
-                continue  # defective coalescence: shared direction stands
-            order = np.argsort(profile[0], kind="stable")
-            basis = []
-            for member, free in zip(group, order[: len(group)]):
-                v = _back_substitute(u, free[None], tiny)[0]
-                for b in basis:
-                    bb = (b * b).sum()
-                    if abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum():
-                        v = v - (v * b).sum() / bb * b
-                basis.append(v)
-                vectors[point, member] = v
-    return vectors
+def _group_vectors(u, pivots, tiny, group):
+    """Null vectors of the members of degenerate groups (k, n), from the
+    leader's elimination u and pivots; (k, n, n), member j's at index j."""
+    k, n = group.shape
+    order = np.argsort(pivots, axis=1, kind="stable")
+    members = np.argsort(~group, axis=1, kind="stable")
+    out = np.zeros((k, n, n), dtype=complex)
+    basis = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(group.sum(axis=1).max(initial=0)):
+            v = _back_substitute(u, order[:, r], tiny)
+            for b in basis:
+                bb = (b * b).sum(axis=1)
+                keep = np.abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum(axis=1)
+                v = np.where(keep[:, None], v - ((v * b).sum(axis=1) / bb)[:, None] * b, v)
+            basis.append(v)
+            out[np.arange(k), members[:, r]] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +368,7 @@ def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=complex)
     values = poly_roots_batch(char_poly_batch(h))
-    order = _sort_values(values)
+    order = np.lexsort((values.imag, values.real), axis=1)
     return np.take_along_axis(values, order, axis=1)
 
 
@@ -420,19 +407,31 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     m, n = h.shape[0], h.shape[1]
     values = eigenvalues_batch(h)
 
+    gap = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
+    near = gap <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
+    grouped = np.flatnonzero(near.any(axis=(1, 2)))
+    seen = np.zeros((grouped.size, n), dtype=bool)
+    limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h[grouped]).max(axis=(1, 2)), 1.0)
+    repairs = []  # applied once the loop has written every default vector
+
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
     for i in range(n):
         # the free column of each null vector is its smallest pivot
         u, pivots = _eliminate(h - values[:, i, None, None] * eye)
         vectors[:, i, :] = _back_substitute(u, np.argmin(pivots, axis=1))
-
-    gap = np.abs(values[:, :, None] - values[:, None, :])
-    idx = np.arange(n)
-    gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)
-    near = gap_offdiag <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
-    if near.any():
-        vectors = _repair_degenerate(values, vectors, h, near)
+        if grouped.size:
+            # the degenerate groups i leads, by the rule in the module docstring
+            group = near[grouped, i] & (np.arange(n) > i)
+            lead = group.any(axis=1) & ~seen[:, i]
+            group = (group | (np.arange(n) == i)) & lead[:, None]
+            seen |= group
+            tiny = pivots[grouped] <= limit[:, None]
+            lead &= tiny.sum(axis=1) >= 2
+            rows, group = grouped[lead], group[lead]
+            repairs.append((rows, group, _group_vectors(u[rows], pivots[rows], tiny[lead], group)))
+    for rows, group, fixed in repairs:
+        vectors[rows] = np.where(group[:, :, None], fixed, vectors[rows])
 
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
@@ -445,9 +444,9 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
 
     overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
-    overlap[:, idx, idx] = 0.0
+    overlap[:, np.arange(n), np.arange(n)] = 0.0
     regular = ~defective
-    checked = (gap_offdiag > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+    checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
     worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
     k = int(np.argmax(worst))
     if worst[k] >= BIORTH_TOL:

@@ -194,6 +194,20 @@ def test_input_faults_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+def raise_solver_error(*args, **kwargs):
+    raise SolverError("eigensolver failed at grid point a=0.5: no convergence")
+
+
+@pytest.mark.parametrize("solver_fails", [False, True])
+@pytest.mark.parametrize("command", ["sweep", "ep"])
+def test_failed_runs_leave_no_out_directory(tmp_path, monkeypatch, command, solver_fails):
+    if solver_fails:
+        monkeypatch.setattr("levelcross.cli.run_sweep", raise_solver_error)
+        monkeypatch.setattr("levelcross.cli.find_ep", raise_solver_error)
+    assert main(input_faults(tmp_path)[f"{command} pole"]) == (2 if solver_fails else 1)
+    assert not (tmp_path / "o").exists()
+
+
 def test_module_entry_point_reports_an_input_fault_without_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -446,9 +446,20 @@ def complex_orthogonal(rng, n):
 ROTATED_ROOT_FAULTS = {179, 235, 365, 391}
 
 
+def rotated_crossings():
+    """400 seeded Q D Q^T with doubled entries in D (N = 2..6): exactly
+    degenerate, diagonalizable and, unlike a diagonal matrix, with no zero
+    pattern to lean on."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        pairs = int(rng.integers(1, n // 2 + 1))
+        d = rng.normal(size=n - pairs) + 1j * rng.normal(size=n - pairs)
+        q = complex_orthogonal(rng, n)
+        yield q @ np.diag(np.concatenate([d, d[:pairs]])) @ q.T
+
+
 def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
-    # Q D Q^T with doubled entries in D: exactly degenerate, diagonalizable
-    # and, unlike a diagonal matrix, with no zero pattern to lean on
     forced = []
     original = es._back_substitute
 
@@ -457,14 +468,9 @@ def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
         return original(u, free, held)
 
     monkeypatch.setattr(es, "_back_substitute", counting)
-    rng = np.random.default_rng(7)
     repaired = 0
-    for index in range(400):
-        n = int(rng.integers(2, 7))
-        pairs = int(rng.integers(1, n // 2 + 1))
-        d = rng.normal(size=n - pairs) + 1j * rng.normal(size=n - pairs)
-        q = complex_orthogonal(rng, n)
-        h = q @ np.diag(np.concatenate([d, d[:pairs]])) @ q.T
+    for index, h in enumerate(rotated_crossings()):
+        n = h.shape[0]
         if index in ROTATED_ROOT_FAULTS:
             continue
         batch = solve_spectrum_batch(h[None])  # raises on a biorthogonality failure
@@ -479,6 +485,158 @@ def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
             assert abs(vectors[i] @ vectors[j]) < BIORTH_TOL, index
     assert sum(forced) > 600
     assert repaired > 300
+
+
+def reference_repair_degenerate(values, vectors, h, near):
+    """The per-point degenerate repair the batched group path replaced,
+    kept verbatim as its oracle."""
+    n = values.shape[1]
+    scale = np.abs(h).max(axis=(1, 2))
+    for point in np.flatnonzero(near.any(axis=(1, 2))):
+        seen = set()
+        for i in range(n):
+            if i in seen:
+                continue
+            group = [i] + [j for j in range(i + 1, n) if near[point, i, j]]
+            if len(group) < 2:
+                continue
+            seen.update(group)
+            u, profile = es._eliminate((h[point] - values[point, i] * np.eye(n))[None])
+            tiny = profile <= es.TINY_PIVOT_FACTOR * EPS * max(scale[point], 1.0)
+            if int(tiny.sum()) < 2:
+                continue  # defective coalescence: shared direction stands
+            order = np.argsort(profile[0], kind="stable")
+            basis = []
+            for member, free in zip(group, order[: len(group)]):
+                v = es._back_substitute(u, free[None], tiny)[0]
+                for b in basis:
+                    bb = (b * b).sum()
+                    if abs(bb) > es.DEFECTIVE_RTOL * (np.abs(b) ** 2).sum():
+                        v = v - (v * b).sum() / bb * b
+                basis.append(v)
+                vectors[point, member] = v
+    return vectors
+
+
+def reference_spectrum(h):
+    """solve_spectrum_batch as it was with the per-point repair."""
+    m, n = h.shape[0], h.shape[1]
+    values = es.eigenvalues_batch(h)
+    vectors = np.empty((m, n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for i in range(n):
+        u, pivots = es._eliminate(h - values[:, i, None, None] * eye)
+        vectors[:, i, :] = es._back_substitute(u, np.argmin(pivots, axis=1))
+    gap = np.abs(values[:, :, None] - values[:, None, :])
+    idx = np.arange(n)
+    gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)
+    near = gap_offdiag <= es.DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
+    if near.any():
+        vectors = reference_repair_degenerate(values, vectors, h, near)
+    bilinear = (vectors * vectors).sum(axis=2)
+    euclid = (np.abs(vectors) ** 2).sum(axis=2)
+    defective = np.abs(bilinear) < es.DEFECTIVE_RTOL * euclid
+    vectors = _canonicalize(vectors, defective)
+    norm_a = (np.abs(vectors) ** 2).sum(axis=2)
+    hv = np.einsum("mij,mkj->mki", h, vectors)
+    residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
+    overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
+    overlap[:, idx, idx] = 0.0
+    regular = ~defective
+    checked = (gap_offdiag > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+    worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
+    k = int(np.argmax(worst))
+    if worst[k] >= BIORTH_TOL:
+        raise BiorthogonalityError(k, float(worst[k]))
+    return es.SpectrumBatch(values, vectors, defective, norm_a, residual)
+
+
+def spectrum_outcome(solve, h):
+    """Every SpectrumBatch array as bytes, or the error's (type, message)."""
+    try:
+        batch = solve(np.array(h, dtype=complex))
+    except es.SolverError as err:
+        return type(err).__name__, str(err)
+    return tuple(np.ascontiguousarray(a).tobytes() for a in vars(batch).values())
+
+
+def assert_same_spectrum(h):
+    assert spectrum_outcome(solve_spectrum_batch, h) == spectrum_outcome(reference_spectrum, h)
+
+
+def diagonal_crossings():
+    """300 seeded diag([d, d, ...]) (N = 2..8): one value repeated 2..N
+    times among random others, in random order."""
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        d[1 : int(rng.integers(2, n + 1))] = d[0]
+        yield np.diag(rng.permutation(d))
+
+
+def by_order(matrices):
+    """Stack the matrices of each order into one batch."""
+    stacks = {}
+    for h in matrices:
+        stacks.setdefault(h.shape[0], []).append(h)
+    return [np.stack(hs) for hs in stacks.values()]
+
+
+def twin_fig1_grid():
+    """Two uncoupled copies of fig1 on its 2001-point grid: every
+    eigenvalue is exactly doubly degenerate at every point."""
+    levels = [{"e": "1 - a/2", "gamma_half": 0.5}, {"e": "a", "gamma_half": 0.5999}]
+    twin = scenario_from_dict({
+        "label": "twin",
+        "levels": levels * 2,
+        "coupling": {
+            "omega": {"re": 0.05, "im": 0.0},
+            "profile": "gaussian",
+            "pairs": [[1, 2], [3, 4]],
+            "selfenergy": {},
+        },
+        "sweep": {"a_min": 0.0, "a_max": 1.5, "steps": 2001},
+    })
+    return build_hamiltonian_batch(twin, twin.sweep.points())
+
+
+def test_group_vectors_match_the_per_point_repair_on_rotated_crossings():
+    matrices = list(rotated_crossings())
+    for h in matrices:
+        assert_same_spectrum(h[None])
+    for i in sorted(ROTATED_ROOT_FAULTS, reverse=True):
+        del matrices[i]
+    for stack in by_order(matrices):
+        assert_same_spectrum(stack)
+
+
+def test_group_vectors_match_the_per_point_repair_on_diagonal_crossings():
+    matrices = list(diagonal_crossings())
+    for h in matrices:
+        assert_same_spectrum(h[None])
+    for stack in by_order(matrices):
+        assert_same_spectrum(stack)
+
+
+def test_group_vectors_match_the_per_point_repair_on_the_twin_grid():
+    assert_same_spectrum(twin_fig1_grid())
+
+
+def test_group_vectors_match_the_per_point_repair_on_groups_that_share_a_member(monkeypatch):
+    # eigenvalues 0.5 + (0, 0.9s + 1.3si, 1.4s) with s = 1e-12, rotated: the
+    # last is within DEGENERATE_RTOL of both others, which are not of each
+    # other, so two groups claim it and the later one decides; a level at
+    # 1000 lifts the tiny-pivot bound above the spread, so both groups are
+    # true crossings
+    s = 1e-12
+    d = np.array([0.5, 0.5 + 0.9 * s + 1.3j * s, 0.5 + 1.4 * s, 1000.0])
+    q = np.eye(4)
+    q[:3, :3] = np.linalg.qr(np.random.default_rng(23).normal(size=(3, 3)))[0]
+    monkeypatch.setattr(es, "eigenvalues_batch", lambda h: d[None].copy())
+    near = np.abs(d[:, None] - d) <= es.DEGENERATE_RTOL * (1.0 + np.abs(d[:, None]))
+    assert near[0, 2] and near[1, 2] and not near[0, 1]
+    assert_same_spectrum((q @ np.diag(d) @ q.T)[None])
 
 
 def test_eigenvectors_satisfy_eigenvalue_equation():

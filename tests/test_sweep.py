@@ -13,6 +13,7 @@ from levelcross.eigensolve import (
     eigenvalues_batch,
     solve_spectrum_batch,
 )
+from levelcross.cli import main
 from levelcross.expressions import parse_expr
 from levelcross.model import (
     CouplingSpec,
@@ -22,6 +23,7 @@ from levelcross.model import (
     Tunable,
     bare_levels,
     build_hamiltonian_batch,
+    save_scenario,
 )
 from levelcross.presets import PRESET_IDS, preset
 from levelcross.sweep import (
@@ -200,6 +202,28 @@ def test_worker_count_is_invisible():
         assert np.array_equal(t1.norm_a, t4.norm_a)
         assert np.all(t1.norm_a >= 1.0 - 1e-12)
         assert np.array_equal(t1.defective, t4.defective)
+
+
+def twin_fig1():
+    """Two identical copies of fig1 that do not couple to each other."""
+    fig1 = preset("fig1")
+    coupling = replace(fig1.coupling, active_pairs=frozenset({(0, 1), (2, 3)}))
+    return replace(fig1, label="twin", levels=fig1.levels * 2, coupling=coupling)
+
+
+def test_symmetric_twin_holds_exactly_equal_pairs(tmp_path):
+    sc = twin_fig1()
+    values = solve_spectrum_batch(build_hamiltonian_batch(sc, sc.sweep.points())).values
+    assert values.shape == (2001, 4)
+    assert np.array_equal(values[:, 0::2], values[:, 1::2])
+    path = tmp_path / "twin.json"
+    save_scenario(sc, path)
+    for threads in ("1", "3"):
+        out = str(tmp_path / threads)
+        assert main(["sweep", "--scenario", str(path), "--threads", threads, "--out", out]) == 0
+    assert (tmp_path / "1" / "trajectories.csv").read_bytes() == (
+        tmp_path / "3" / "trajectories.csv"
+    ).read_bytes()
 
 
 def test_best_assignment_matches_brute_force_per_matrix():
