@@ -22,15 +22,15 @@ otherwise the pair is kept as iterated. Without the snap, every
 eigenvalue gap at an exact coalescence would float at the sqrt(eps)
 noise level and coalescence could never be detected cleanly.
 
-Eigenvalues within DEGENERATE_RTOL of each other are exactly degenerate.
-A group is a leader, the lowest index that no earlier group holds, and
-the later values near it; all members use the leader's elimination of
-H - lambda I. With two or more pivots below TINY_PIVOT_FACTOR * eps *
-max(max|H|, 1) the group is a true crossing: its r-th member takes the
-r-th smallest pivot (stable order) as free column, holds the other tiny
-columns at 0 and is bilinearly orthogonalized against the earlier
-members. Otherwise it is a coalescence whose members keep one shared
-direction, flagged defective downstream.
+Exactly degenerate eigenvalues are a run of equal values in the sorted
+row (the snap makes a double pair bit-equal), and the elimination of
+H - lambda I at the run's last member serves them all. With two or more
+pivots below TINY_PIVOT_FACTOR * eps * max(max|H|, 1) the run is a true
+crossing: its r-th member takes the r-th smallest pivot (stable order)
+as free column, holds the other tiny columns at 0 and is bilinearly
+orthogonalized against the earlier members; otherwise the members keep
+one shared direction, flagged defective downstream. A failure names its
+batch index, which `solve_at` turns into the caller's point.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "poly_roots_batch",
     "eigenvalues_batch",
     "solve_spectrum_batch",
+    "solve_at",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -67,7 +68,6 @@ CLUSTER_RTOL = 1e-3        # pair distance that triggers the quadratic polish
 DEFECTIVE_RTOL = 1e-5      # |v.v| < this * sum|v|^2 marks a defective pair
 BIORTH_TOL = 1e-8          # allowed |v_i . v_j| for well-separated pairs
 GAP_GUARD = 1e-6           # pairs closer than this skip the biorthogonality check
-DEGENERATE_RTOL = 1e-12    # eigenvalue distance treated as exactly degenerate
 TINY_PIVOT_FACTOR = 100.0  # pivots below 100*eps*scale count as null directions
 
 
@@ -114,10 +114,11 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
     work = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
     c = -np.einsum("mii->m", h)
     coeffs[:, n - 1] = c
-    for k in range(2, n + 1):
-        work = h @ work + c[:, None, None] * np.eye(n, dtype=complex)
-        c = -np.einsum("mij,mji->m", h, work) / k
-        coeffs[:, n - k] = c
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the caller's to judge
+        for k in range(2, n + 1):
+            work = h @ work + c[:, None, None] * np.eye(n, dtype=complex)
+            c = -np.einsum("mij,mji->m", h, work) / k
+            coeffs[:, n - k] = c
     return coeffs
 
 
@@ -259,9 +260,9 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
         z = _pair_polish(coeffs, z)
 
-    p = _horner(coeffs, z, order=0)
-    floor = _noise_bounds(coeffs, np.abs(z), order=0)
-    bad = np.abs(p) > 1e3 * floor
+        p = _horner(coeffs, z, order=0)
+        floor = _noise_bounds(coeffs, np.abs(z), order=0)
+    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p)  # an overflowed p proves nothing
     if bad.any():
         worst = int(np.argmax(np.abs(p).max(axis=1)))
         raise RootConvergenceError(worst, float(np.abs(p[worst]).max()))
@@ -367,7 +368,11 @@ def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     biorthogonality bookkeeping.
     """
     h = np.asarray(h, dtype=complex)
-    values = poly_roots_batch(char_poly_batch(h))
+    coeffs = char_poly_batch(h)
+    overflow = ~np.isfinite(coeffs).all(axis=1)
+    if overflow.any():  # past the range of the characteristic polynomial
+        raise RootConvergenceError(int(np.argmax(overflow)), np.inf)
+    values = poly_roots_batch(coeffs)
     order = np.lexsort((values.imag, values.real), axis=1)
     return np.take_along_axis(values, order, axis=1)
 
@@ -408,11 +413,9 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     values = eigenvalues_batch(h)
 
     gap = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
-    near = gap <= DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
-    grouped = np.flatnonzero(near.any(axis=(1, 2)))
-    seen = np.zeros((grouped.size, n), dtype=bool)
-    limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h[grouped]).max(axis=(1, 2)), 1.0)
-    repairs = []  # applied once the loop has written every default vector
+    # same[:, i]: values i - 1 and i are equal; a run ends at i where i + 1 is not
+    same = np.zeros((m, n + 1), dtype=bool)
+    same[:, 1:n] = values[:, 1:] == values[:, :-1]
 
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
@@ -420,18 +423,15 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
         # the free column of each null vector is its smallest pivot
         u, pivots = _eliminate(h - values[:, i, None, None] * eye)
         vectors[:, i, :] = _back_substitute(u, np.argmin(pivots, axis=1))
-        if grouped.size:
-            # the degenerate groups i leads, by the rule in the module docstring
-            group = near[grouped, i] & (np.arange(n) > i)
-            lead = group.any(axis=1) & ~seen[:, i]
-            group = (group | (np.arange(n) == i)) & lead[:, None]
-            seen |= group
-            tiny = pivots[grouped] <= limit[:, None]
-            lead &= tiny.sum(axis=1) >= 2
-            rows, group = grouped[lead], group[lead]
-            repairs.append((rows, group, _group_vectors(u[rows], pivots[rows], tiny[lead], group)))
-    for rows, group, fixed in repairs:
-        vectors[rows] = np.where(group[:, :, None], fixed, vectors[rows])
+        rows = np.flatnonzero(same[:, i] & ~same[:, i + 1])
+        if rows.size:  # the true crossings among the runs that end at i (module docstring)
+            limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h[rows]).max(axis=(1, 2)), 1.0)
+            tiny = pivots[rows] <= limit[:, None]
+            crossing = tiny.sum(axis=1) >= 2
+            rows, tiny = rows[crossing], tiny[crossing]
+            group = values[rows] == values[rows, i, None]
+            fixed = _group_vectors(u[rows], pivots[rows], tiny, group)
+            vectors[rows] = np.where(group[:, :, None], fixed, vectors[rows])
 
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
@@ -459,3 +459,12 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
         norm_a=norm_a,
         residual=residual,
     )
+
+
+def solve_at(solve, h, point):
+    """solve(h), with a failure at batch index k re-raised as a
+    SolverError naming point(k), the caller's name for matrix k."""
+    try:
+        return solve(h)
+    except (RootConvergenceError, BiorthogonalityError) as err:
+        raise SolverError(f"eigensolver failed at {point(err.batch_index)}: {err}") from err

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import (
-    BiorthogonalityError,
-    RootConvergenceError,
-    SolverError,
-    eigenvalues_batch,
-    solve_spectrum_batch,
-)
+from .eigensolve import eigenvalues_batch, solve_at, solve_spectrum_batch
 from .model import Scenario, ScenarioError, Tunable, build_hamiltonian_batch
 
 GAP_TOL = 1e-8            # coalescence detection threshold
@@ -61,12 +55,24 @@ def _closest_pair(values: np.ndarray):
     return diff[np.arange(len(k)), k], iu[k], ju[k]
 
 
+def _solve_points(solve, scenario, tunable, a, value, where):
+    """solve(H) at the points (a, value), given as build_hamiltonian_batch
+    takes them; a failure names its point as `where` (a, value)=(...)."""
+    h = build_hamiltonian_batch(scenario, a, tunable=tunable, value=value)
+
+    def point(k):  # no value (no tunable) reads as nan
+        row = np.column_stack(np.broadcast_arrays(a, np.asarray(value, dtype=float)))[k]
+        return f"{where} (a, value)={tuple(row.tolist())!r}"
+
+    return solve_at(solve, h, point)
+
+
 def coalescence_gap(scenario: Scenario, a, tunable=None, value=None) -> float:
     """min over i<j of |lambda_i - lambda_j| at a single parameter point."""
     if scenario.n < 2:
         raise ScenarioError("coalescence gap needs at least two levels")
-    h = build_hamiltonian_batch(scenario, [a], tunable=tunable, value=value)
-    return float(abs(_closest_pair(eigenvalues_batch(h))[0][0]))
+    values = _solve_points(eigenvalues_batch, scenario, tunable, [a], value, "point")
+    return float(abs(_closest_pair(values)[0][0]))
 
 
 def probe_norm_blowup(
@@ -89,14 +95,7 @@ def probe_norm_blowup(
     worst = 0.0
     for _ in range(PROBE_MAX_DOUBLINGS):
         points = np.asarray(location, dtype=float) + step
-        h = build_hamiltonian_batch(scenario, points[:, 0], tunable=tunable, value=points[:, 1])
-        try:
-            spectrum = solve_spectrum_batch(h)
-        except (RootConvergenceError, BiorthogonalityError) as err:
-            xa, xt = points[err.batch_index].tolist()
-            raise SolverError(
-                f"eigensolver failed at probe point (a, value)=({xa!r}, {xt!r}): {err}"
-            ) from err
+        spectrum = _solve_points(solve_spectrum_batch, scenario, tunable, *points.T, "probe point")
         clean = ~spectrum.defective.any(axis=1)
         worst = float(spectrum.norm_a[clean].max(initial=worst))
         step = 2.0 * step[~clean]
@@ -137,8 +136,8 @@ def find_ep(
         raise ScenarioError("exceptional point search needs at least two levels")
 
     def closest(points):
-        h = build_hamiltonian_batch(scenario, points[:, 0], tunable=tunable, value=points[:, 1])
-        return _closest_pair(eigenvalues_batch(h))
+        values = _solve_points(eigenvalues_batch, scenario, tunable, *points.T, "search point")
+        return _closest_pair(values)
 
     axes = [np.linspace(lo[k], hi[k], SCAN_POINTS) for k in range(2)]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)

@@ -23,13 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolve import (
-    BiorthogonalityError,
-    RootConvergenceError,
-    SolverError,
-    SpectrumBatch,
-    solve_spectrum_batch,
-)
+from .eigensolve import SpectrumBatch, solve_at, solve_spectrum_batch
 from .model import Scenario, Tunable, bare_levels, build_hamiltonian_batch
 
 __all__ = [
@@ -146,12 +140,9 @@ class SweepResult:
 def _solve_grid(h, a, workers):
     """Solve the (m, N, N) stack h, split into `workers` contiguous slices."""
     def solve_chunk(lo, hi):
-        try:
-            return solve_spectrum_batch(h[lo:hi])
-        except (RootConvergenceError, BiorthogonalityError) as err:
-            raise SolverError(
-                f"eigensolver failed at grid point a={float(a[lo + err.batch_index])!r}: {err}"
-            ) from err
+        return solve_at(
+            solve_spectrum_batch, h[lo:hi], lambda k: f"grid point a={float(a[lo + k])!r}"
+        )
 
     m = a.shape[0]
     if workers <= 1 or m < 2 * workers:

@@ -208,6 +208,60 @@ def test_failed_runs_leave_no_out_directory(tmp_path, monkeypatch, command, solv
     assert not (tmp_path / "o").exists()
 
 
+def write_levels_scenario(path, energies, pairs="all"):
+    """Levels with half-width 0.5 and a constant coupling 0.05, over 0:1:11."""
+    path.write_text(json.dumps({
+        "label": path.stem,
+        "levels": [{"e": e, "gamma_half": 0.5} for e in energies],
+        "coupling": {
+            "omega": {"re": 0.05, "im": 0.0},
+            "profile": "constant",
+            "pairs": pairs,
+            "selfenergy": {},
+        },
+        "sweep": {"a_min": 0.0, "a_max": 1.0, "steps": 11},
+    }))
+    return str(path)
+
+
+# (a) the characteristic polynomial's coefficients overflow; (b) they do
+# not, but p overflows at the roots, which are 1e159 apart at a = 0.1
+BEYOND_RANGE = {
+    "coefficients": ["1e100*a", "1e100 - a", "2e100*a", "a"],
+    "roots": ["1e160*a", "a"],
+}
+BEYOND_RANGE_POINTS = {
+    "sweep": "grid point a=0.1: root iteration did not converge (batch index 1, residual inf)",
+    "ep": "search point (a, value)=(0.02, 0.4): root iteration did not converge",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BEYOND_RANGE_POINTS))
+@pytest.mark.parametrize("case", sorted(BEYOND_RANGE))
+def test_spectra_beyond_the_solver_range_exit_2_naming_the_point(tmp_path, capsys, case, command):
+    path = write_levels_scenario(tmp_path / f"{case}.json", BEYOND_RANGE[case])
+    args = [command, "--scenario", path]
+    if command == "ep":
+        args += ["--tune", "gamma_half:2", "--box", "0:1,0.4:0.8"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eigensolver failed at " + BEYOND_RANGE_POINTS[command])
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_scan_failure_names_the_search_point(tmp_path, capsys):
+    # five equal uncoupled levels: the root iteration fails on the scan
+    path = write_levels_scenario(tmp_path / "five.json", ["a"] * 5, pairs=[])
+    args = ["ep", "--scenario", path, "--tune", "gamma_half:2", "--box", "0.3:1.0,0.4:0.8"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: eigensolver failed at search point (a, value)=(0.986, 0.504): "
+        "root iteration did not converge (batch index 2512, "
+    )
+
+
 def test_module_entry_point_reports_an_input_fault_without_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -159,6 +159,17 @@ def test_roots_reject_bad_coefficients():
         poly_roots_batch(np.array([[1.0, 2.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "diagonal",
+    [[1e100, 1e100, 2e100, 1.0], [1e159, 0.1]],  # coefficients overflow; p overflows at the roots
+)
+def test_spectra_beyond_the_polynomial_range_fail_at_their_batch_index(diagonal):
+    n = len(diagonal)
+    h = np.stack([np.eye(n), np.diag(diagonal)]).astype(complex) + 0.05 * (1 - np.eye(n))
+    with pytest.raises(RootConvergenceError, match=r"\(batch index 1, residual inf\)"):
+        eigenvalues_batch(h)
+
+
 def test_roots_are_deterministic():
     rng = np.random.default_rng(41)
     coeffs = char_poly_batch(random_symmetric(rng, 4, m=10))
@@ -311,9 +322,13 @@ def star_spec(order, steps):
     }
 
 
-def grid_coeffs(scenario, steps):
+def grid_hamiltonians(scenario, steps):
     a = np.linspace(scenario.sweep.a_min, scenario.sweep.a_max, steps)
-    return char_poly_batch(build_hamiltonian_batch(scenario, a))
+    return build_hamiltonian_batch(scenario, a)
+
+
+def grid_coeffs(scenario, steps):
+    return char_poly_batch(grid_hamiltonians(scenario, steps))
 
 
 def random_coeffs(rng, degree, m):
@@ -519,7 +534,8 @@ def reference_repair_degenerate(values, vectors, h, near):
 
 
 def reference_spectrum(h):
-    """solve_spectrum_batch as it was with the per-point repair."""
+    """solve_spectrum_batch as it was with the per-point repair, whose
+    groups are the eigenvalues within 1e-12 (1 + |lambda|) of a leader."""
     m, n = h.shape[0], h.shape[1]
     values = es.eigenvalues_batch(h)
     vectors = np.empty((m, n, n), dtype=complex)
@@ -530,7 +546,7 @@ def reference_spectrum(h):
     gap = np.abs(values[:, :, None] - values[:, None, :])
     idx = np.arange(n)
     gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)
-    near = gap_offdiag <= es.DEGENERATE_RTOL * (1.0 + np.abs(values)[:, :, None])
+    near = gap_offdiag <= 1e-12 * (1.0 + np.abs(values)[:, :, None])
     if near.any():
         vectors = reference_repair_degenerate(values, vectors, h, near)
     bilinear = (vectors * vectors).sum(axis=2)
@@ -623,20 +639,58 @@ def test_group_vectors_match_the_per_point_repair_on_the_twin_grid():
     assert_same_spectrum(twin_fig1_grid())
 
 
-def test_group_vectors_match_the_per_point_repair_on_groups_that_share_a_member(monkeypatch):
-    # eigenvalues 0.5 + (0, 0.9s + 1.3si, 1.4s) with s = 1e-12, rotated: the
-    # last is within DEGENERATE_RTOL of both others, which are not of each
-    # other, so two groups claim it and the later one decides; a level at
-    # 1000 lifts the tiny-pivot bound above the spread, so both groups are
-    # true crossings
-    s = 1e-12
-    d = np.array([0.5, 0.5 + 0.9 * s + 1.3j * s, 0.5 + 1.4 * s, 1000.0])
-    q = np.eye(4)
-    q[:3, :3] = np.linalg.qr(np.random.default_rng(23).normal(size=(3, 3)))[0]
-    monkeypatch.setattr(es, "eigenvalues_batch", lambda h: d[None].copy())
-    near = np.abs(d[:, None] - d) <= es.DEGENERATE_RTOL * (1.0 + np.abs(d[:, None]))
-    assert near[0, 2] and near[1, 2] and not near[0, 1]
-    assert_same_spectrum((q @ np.diag(d) @ q.T)[None])
+def clustered_spectra():
+    """900 seeded matrices (N = 2..8) with a 2- to 4-fold eigenvalue
+    cluster spread by 1e-16 to 1e-9: 450 diagonal, and each again as
+    Q D Q^T with a complex orthogonal Q."""
+    rng = np.random.default_rng(29)
+    for _ in range(450):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(2, min(n, 4) + 1))
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        spread = 10.0 ** rng.uniform(-16, -9)
+        d[1:k] = d[0] + spread * (rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1))
+        d = rng.permutation(d)
+        yield np.diag(d)
+        q = complex_orthogonal(rng, n)
+        yield q @ np.diag(d) @ q.T
+
+
+def near_values_are_bit_equal(h):
+    """Count the pairs of sorted eigenvalues within 1e-12 (1 + |lambda|)
+    of each other on the stack h, asserting that each pair is bit-equal;
+    matrices whose roots do not converge are left out."""
+    keep = np.arange(len(h))
+    while True:
+        try:
+            values = eigenvalues_batch(h[keep])
+            break
+        except RootConvergenceError as err:
+            keep = np.delete(keep, err.batch_index)
+    n = values.shape[1]
+    iu, ju = np.triu_indices(n, 1)
+    near = np.abs(values[:, iu] - values[:, ju]) <= 1e-12 * (1.0 + np.abs(values[:, iu]))
+    bits = values.view(np.uint64).reshape(len(values), n, 2)
+    equal = (bits[:, iu] == bits[:, ju]).all(axis=2)
+    assert (equal | ~near).all()
+    return int(near.sum())
+
+
+def test_near_eigenvalues_are_bit_equal_on_crossings():
+    # the degenerate runs of solve_spectrum_batch rely on this: the root
+    # stage returns no two values within 1e-12 that are not the same bits
+    assert sum(near_values_are_bit_equal(s) for s in by_order(rotated_crossings())) > 500
+    assert sum(near_values_are_bit_equal(s) for s in by_order(diagonal_crossings())) > 200
+    assert near_values_are_bit_equal(twin_fig1_grid()) == 2 * 2001
+
+
+def test_near_eigenvalues_are_bit_equal_on_clustered_spectra():
+    assert sum(near_values_are_bit_equal(s) for s in by_order(clustered_spectra())) > 800
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_near_eigenvalues_are_bit_equal_on_presets(pid):
+    near_values_are_bit_equal(grid_hamiltonians(preset(pid), 2001))
 
 
 def test_eigenvectors_satisfy_eigenvalue_equation():

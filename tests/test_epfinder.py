@@ -9,6 +9,7 @@ import pytest
 from levelcross import epfinder
 from levelcross.eigensolve import (
     BiorthogonalityError,
+    RootConvergenceError,
     SolverError,
     eigenvalues_batch,
     solve_spectrum_batch,
@@ -220,6 +221,43 @@ def test_probe_failure_names_the_probe_point(monkeypatch):
         SolverError, match=r"probe point \(a, value\)=\(0\.5625, 0\.6\): bilinear overlap"
     ):
         probe_norm_blowup(two_level_constant(), TUNE_G2, (0.5, 0.6), (0.0625, 0.25))
+
+
+def test_newton_failure_names_the_search_point(monkeypatch):
+    # the second eigenvalue call is Newton's first step: the point and its
+    # two forward neighbours; its third matrix fails
+    stacks = []
+
+    def fail_second_call(h):
+        stacks.append(h)
+        if len(stacks) == 2:
+            raise RootConvergenceError(2, 1.0)
+        return eigenvalues_batch(h)
+
+    monkeypatch.setattr("levelcross.epfinder.eigenvalues_batch", fail_second_call)
+    sc = two_level_constant()
+    with pytest.raises(SolverError) as info:
+        find_ep(sc, TUNE_G2, BOX)
+    found = re.fullmatch(
+        r"eigensolver failed at search point \(a, value\)=\((\S+), (\S+)\): "
+        r"root iteration did not converge \(batch index 2, residual 1\.000e\+00\)",
+        str(info.value),
+    )
+    xa, xt = float(found.group(1)), float(found.group(2))
+    h = build_hamiltonian_batch(sc, [xa], tunable=TUNE_G2, value=xt)
+    assert np.array_equal(h[0], stacks[1][2])
+    assert len(stacks[1]) == 3
+
+
+def test_coalescence_gap_failure_names_the_point(monkeypatch):
+    def explode(h):
+        raise RootConvergenceError(0, 1.0)
+
+    monkeypatch.setattr("levelcross.epfinder.eigenvalues_batch", explode)
+    with pytest.raises(SolverError, match=r"at point \(a, value\)=\(0\.3, nan\): root"):
+        coalescence_gap(two_level_constant(), 0.3)
+    with pytest.raises(SolverError, match=r"at point \(a, value\)=\(0\.5, 0\.6\): root"):
+        coalescence_gap(two_level_constant(), 0.5, tunable=TUNE_G2, value=0.6)
 
 
 def per_probe_norm_blowup(scenario, tunable, location, offsets):
