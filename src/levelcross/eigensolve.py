@@ -30,12 +30,15 @@ crossing: its r-th member takes the r-th smallest pivot (stable order)
 as free column, holds the other tiny columns at 0 and is bilinearly
 orthogonalized against the earlier members; otherwise the members keep
 one shared direction, flagged defective downstream. A failure names its
-batch index, which `solve_at` turns into the caller's point.
+batch index. Sweeps and EP searches solve through `solve_at`, which cuts
+the stack into blocks of SOLVE_BLOCK rows, whatever the thread count, and
+turns the index into the caller's point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +50,7 @@ __all__ = [
     "DEFECTIVE_RTOL",
     "BIORTH_TOL",
     "GAP_GUARD",
+    "SOLVE_BLOCK",
     "SolverError",
     "RootConvergenceError",
     "BiorthogonalityError",
@@ -69,6 +73,7 @@ DEFECTIVE_RTOL = 1e-5      # |v.v| < this * sum|v|^2 marks a defective pair
 BIORTH_TOL = 1e-8          # allowed |v_i . v_j| for well-separated pairs
 GAP_GUARD = 1e-6           # pairs closer than this skip the biorthogonality check
 TINY_PIVOT_FACTOR = 100.0  # pivots below 100*eps*scale count as null directions
+SOLVE_BLOCK = 4096         # rows per solve in solve_at; holds the EP scan's 2601
 
 
 class SolverError(RuntimeError):
@@ -461,10 +466,37 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     )
 
 
-def solve_at(solve, h, point):
-    """solve(h), with a failure at batch index k re-raised as a
-    SolverError naming point(k), the caller's name for matrix k."""
-    try:
-        return solve(h)
-    except (RootConvergenceError, BiorthogonalityError) as err:
+def solve_at(solve, h, point, workers=1):
+    """solve(h), run in blocks of SOLVE_BLOCK rows in row order and
+    joined; on `workers` threads when h holds more than one block.
+
+    No row depends on its block, so neither does the result. Of the
+    failed blocks the worst counts: a root failure before a failed
+    check, then the largest residual or overlap, then the earliest. It
+    is re-raised as a SolverError naming point(k), the caller's name for
+    matrix k of h, and k is the batch index in its message.
+    """
+    def block(lo):
+        try:
+            return solve(h[lo : lo + SOLVE_BLOCK])
+        except RootConvergenceError as err:
+            return RootConvergenceError(lo + err.batch_index, err.residual)
+        except BiorthogonalityError as err:
+            return BiorthogonalityError(lo + err.batch_index, err.overlap)
+
+    starts = range(0, max(len(h), 1), SOLVE_BLOCK)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, starts))
+    else:
+        parts = [block(lo) for lo in starts]
+    errors = [part for part in parts if isinstance(part, SolverError)]
+    if errors:
+        roots = [e for e in errors if isinstance(e, RootConvergenceError)]
+        err = max(roots, key=lambda e: e.residual) if roots else max(errors, key=lambda e: e.overlap)
         raise SolverError(f"eigensolver failed at {point(err.batch_index)}: {err}") from err
+    if isinstance(parts[0], SpectrumBatch):
+        return SpectrumBatch(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(SpectrumBatch))
+        )
+    return np.concatenate(parts)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +84,6 @@ class Trajectory:
 
     branch_id: int
     start_level: int
-    a: np.ndarray
     energy: np.ndarray
     gamma_half: np.ndarray
     vectors: np.ndarray
@@ -137,23 +135,6 @@ class SweepResult:
         raise KeyError(f"no branch starts at level {level}")
 
 
-def _solve_grid(h, a, workers):
-    """Solve the (m, N, N) stack h, split into `workers` contiguous slices."""
-    def solve_chunk(lo, hi):
-        return solve_at(
-            solve_spectrum_batch, h[lo:hi], lambda k: f"grid point a={float(a[lo + k])!r}"
-        )
-
-    m = a.shape[0]
-    if workers <= 1 or m < 2 * workers:
-        return solve_chunk(0, m)
-    bounds = np.linspace(0, m, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(solve_chunk, bounds[:-1], bounds[1:]))
-    columns = {f.name: [getattr(p, f.name) for p in parts] for f in fields(SpectrumBatch)}
-    return SpectrumBatch(**{name: np.concatenate(c) for name, c in columns.items()})
-
-
 def run_sweep(
     scenario: Scenario,
     *,
@@ -163,14 +144,18 @@ def run_sweep(
 ) -> SweepResult:
     """Solve the scenario over its sweep grid and track branches.
 
-    Grid points are solved in (optionally parallel) batch; branch
-    matching is a sequential left-to-right pass. The result is
-    deterministic and independent of the worker count.
+    The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points on
+    up to `workers` threads; branch matching is a sequential
+    left-to-right pass. The result, and the grid point a failure names,
+    do not depend on the worker count.
     """
     a = scenario.sweep.points()
     m, n = a.shape[0], scenario.n
-    batch = _solve_grid(
-        build_hamiltonian_batch(scenario, a, tunable=tunable, value=value), a, workers
+    batch = solve_at(
+        solve_spectrum_batch,
+        build_hamiltonian_batch(scenario, a, tunable=tunable, value=value),
+        lambda k: f"grid point a={float(a[k])!r}",
+        workers,
     )
     rows = np.arange(m)
 
@@ -198,7 +183,6 @@ def run_sweep(
             Trajectory(
                 branch_id=b,
                 start_level=int(level_order[b]),
-                a=a,
                 energy=values.real.copy(),
                 gamma_half=(-values.imag).copy(),
                 vectors=batch.vectors[rows, seq],
@@ -289,49 +273,29 @@ def detect_crossings(result: SweepResult):
                 and end_levels[i] != start_levels[i]
             )
 
+            found = []  # (kind, grid index of a_cr, width differences around it)
             for start, stop in _runs(both_def):
                 k = start + int(np.argmin(gap[start : stop + 1]))
-                if not _mutually_closest(trajectories, i, j, k):
-                    continue
-                events.append(
-                    CrossingReport(
-                        kind="coalescence",
-                        a_cr=float(a[k]),
-                        pair=(i, j),
-                        max_width_split=float(np.abs(dg[start : stop + 1]).max()),
-                        exchange_detected=exchanged,
-                    )
-                )
+                if _mutually_closest(trajectories, i, j, k):
+                    found.append(("coalescence", k, dg[start : stop + 1]))
 
             abs_de = np.abs(de)
             for start, stop in _runs((abs_de < CROSSING_TOL) & ~both_def):
                 k = start + int(np.argmax(np.abs(dg[start : stop + 1])))
-                events.append(
-                    CrossingReport(
-                        kind="true_energy",
-                        a_cr=float(a[k]),
-                        pair=(i, j),
-                        max_width_split=float(np.abs(dg[start : stop + 1]).max()),
-                        exchange_detected=exchanged,
-                    )
-                )
+                found.append(("true_energy", k, dg[start : stop + 1]))
 
             for k, lo, hi in _valleys(abs_de, CROSSING_TOL):
-                dew = de[lo : hi + 1]
+                dew, dgw = de[lo : hi + 1], dg[lo : hi + 1]
                 if not ((dew > 0).all() or (dew < 0).all()):
                     continue  # energy difference changes sign: not avoided
-                dgw = dg[lo : hi + 1]
                 if not (dgw[:-1] * dgw[1:] <= 0).any():
                     continue  # width curves never intersect in the valley
-                events.append(
-                    CrossingReport(
-                        kind="avoided_energy",
-                        a_cr=float(a[k]),
-                        pair=(i, j),
-                        max_width_split=float(np.abs(dgw).max()),
-                        exchange_detected=exchanged,
-                    )
-                )
+                found.append(("avoided_energy", k, dgw))
+
+            events += [
+                CrossingReport(kind, float(a[k]), (i, j), float(np.abs(near).max()), exchanged)
+                for kind, k, near in found
+            ]
 
     events.sort(key=lambda e: (e.a_cr, e.pair))
     return events

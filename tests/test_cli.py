@@ -77,7 +77,8 @@ def test_sweep_csv_is_byte_identical_between_runs(tmp_path):
     assert one == two
 
 
-def test_sweep_threads_do_not_change_bytes(tmp_path):
+def test_sweep_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
     base = ["sweep", "--preset", "fig4", "--grid", "0:1.5:151"]
     assert main(base + ["--threads", "1", "--out", str(tmp_path / "s")]) == 0
     assert main(base + ["--threads", "3", "--out", str(tmp_path / "p")]) == 0

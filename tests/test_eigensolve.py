@@ -5,6 +5,9 @@ Oracles: the two-level closed form, numpy.linalg for determinants and
 known spectra. Random inputs are seeded and symmetrized.
 """
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -19,10 +22,13 @@ from levelcross.eigensolve import (
     NEWTON_POLISH_STEPS,
     ROOT_RTOL,
     RootConvergenceError,
+    SolverError,
+    SpectrumBatch,
     _canonicalize,
     char_poly_batch,
     eigenvalues_batch,
     poly_roots_batch,
+    solve_at,
     solve_spectrum_batch,
 )
 from levelcross.model import build_hamiltonian_batch, scenario_from_dict
@@ -822,3 +828,60 @@ def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
 def test_solver_requires_square_stack():
     with pytest.raises(ValueError):
         solve_spectrum_batch(np.zeros((2, 3, 2), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# solve_at: every stack in blocks of SOLVE_BLOCK rows
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("rows", [1, es.SOLVE_BLOCK, es.SOLVE_BLOCK + 1, 10**4])
+def test_solve_at_blocks_are_bit_equal_to_one_solve(rows, workers):
+    # the first rows of fig4 at 10^4 points: one block, one full block,
+    # a block and one row, and three blocks
+    sc = preset("fig4")
+    h = build_hamiltonian_batch(sc, np.linspace(sc.sweep.a_min, sc.sweep.a_max, 10**4))[:rows]
+    whole, blocks = solve_spectrum_batch(h), solve_at(solve_spectrum_batch, h, str, workers)
+    for f in fields(SpectrumBatch):
+        want, got = getattr(whole, f.name), getattr(blocks, f.name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+    values = solve_at(eigenvalues_batch, h, str, workers)
+    assert values.tobytes() == eigenvalues_batch(h).tobytes()
+
+
+def failing_solve(residuals, overlaps):
+    """A solve of stacks whose matrix k is [[k]] that fails as
+    solve_spectrum_batch does: a root failure (rows in `residuals`)
+    before a failed check (rows in `overlaps`), each naming the worst
+    row of its batch by batch index, the first on ties."""
+    def solve(h):
+        rows = h[:, 0, 0].real.astype(int).tolist()
+        for bad, error in ((residuals, RootConvergenceError), (overlaps, BiorthogonalityError)):
+            hit = [r for r in rows if r in bad]
+            if hit:
+                worst = max(hit, key=bad.get)
+                raise error(rows.index(worst), bad[worst])
+        return h[:, 0]
+
+    return solve
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "residuals, overlaps, row",
+    [
+        ({}, {5: 2e-8, 13: 3e-8, 14: 3e-8}, 13),    # the largest overlap, the first on ties
+        ({17: 1e-3}, {5: 0.5, 6: 0.7}, 17),         # a root failure before a failed check
+        ({2: 1e-3, 9: np.inf}, {18: 0.5}, 9),       # the largest residual
+    ],
+)
+def test_solve_at_names_the_failure_a_single_solve_names(monkeypatch, workers, residuals, overlaps, row):
+    h = np.arange(20, dtype=complex).reshape(20, 1, 1)
+    solve = failing_solve(residuals, overlaps)
+    with pytest.raises(SolverError) as single:
+        solve_at(solve, h, lambda k: f"row {k}", workers)
+    assert re.match(rf"eigensolver failed at row {row}: .*\(batch index {row}\b", str(single.value))
+    monkeypatch.setattr(es, "SOLVE_BLOCK", 4)  # five blocks
+    with pytest.raises(SolverError) as blocked:
+        solve_at(solve, h, lambda k: f"row {k}", workers)
+    assert str(blocked.value) == str(single.value)

@@ -151,8 +151,8 @@ def test_selfenergy_only_named_level():
 
 
 def test_batch_matches_length_one_batches_bitwise():
-    # sweeps split the grid into per-thread chunks; byte-identical output
-    # across thread counts needs each point independent of its batch
+    # a sweep assembles its whole grid at once and an EP search a few
+    # points per call; the same point must give the same bits either way
     weighted = four_level(profile="energy_weighted_gaussian", selfenergy={3: 0.05j})
     for sc in (four_level(), weighted):
         grid = np.linspace(0.0, 1.5, 17)

@@ -188,7 +188,8 @@ def test_branch_values_cover_the_spectrum():
     assert np.array_equal(raw[rows, order_raw], tracked[rows, order_tracked])
 
 
-def test_worker_count_is_invisible():
+def test_worker_count_is_invisible(monkeypatch):
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 7 blocks, not 1
     sc = scenario(
         ["1 - a/2", "a"], [0.5, 0.5999], omega=0.05, profile="gaussian",
         grid=(0.0, 1.5, 97),
@@ -211,13 +212,14 @@ def twin_fig1():
     return replace(fig1, label="twin", levels=fig1.levels * 2, coupling=coupling)
 
 
-def test_symmetric_twin_holds_exactly_equal_pairs(tmp_path):
+def test_symmetric_twin_holds_exactly_equal_pairs(tmp_path, monkeypatch):
     sc = twin_fig1()
     values = solve_spectrum_batch(build_hamiltonian_batch(sc, sc.sweep.points())).values
     assert values.shape == (2001, 4)
     assert np.array_equal(values[:, 0::2], values[:, 1::2])
     path = tmp_path / "twin.json"
     save_scenario(sc, path)
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 126 blocks, not 1
     for threads in ("1", "3"):
         out = str(tmp_path / threads)
         assert main(["sweep", "--scenario", str(path), "--threads", threads, "--out", out]) == 0
@@ -299,6 +301,43 @@ def test_biorthogonality_error_names_the_grid_point(monkeypatch):
         run_sweep(sc)
 
 
+def star6():
+    """fig5 widened to six levels (`star_spec(6, 2001)` of
+    test_eigensolve.py); its check fails at grid points 879, 882 and 1092."""
+    return scenario(
+        [f"{1 + 0.05 * k!r} - a/2" for k in range(5)] + ["a"],
+        [0.5] * 6,
+        omega=0.05 + 0.05j,
+        profile="gaussian",
+        pairs=[(k, 5) for k in range(5)],
+        grid=(-0.5, 2.0, 2001),
+    )
+
+
+FAILED_CHECK = (
+    "eigensolver failed at grid point a={}: bilinear overlap {} for "
+    "well-separated eigenpairs (batch index {})"
+)
+
+
+@pytest.mark.parametrize("block", [None, 256])
+@pytest.mark.parametrize("case", ["star6", "twin at 10^4 points"])
+def test_failure_message_does_not_depend_on_threads_or_blocks(monkeypatch, case, block):
+    # the message one solve of the whole grid gives; with 256-row blocks
+    # star6 fails in blocks 3 and 4 and the twin in block 17
+    if case == "star6":
+        sc, want = star6(), FAILED_CHECK.format(0.865, "1.168e-08", 1092)
+    else:
+        sc = replace(twin_fig1(), sweep=SweepGrid(0.0, 1.5, 10**4))
+        want = FAILED_CHECK.format(0.6666666666666667, "1.732e-08", 4444)
+    if block:
+        monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)
+    for workers in (1, 2, 3):
+        with pytest.raises(SolverError) as info:
+            run_sweep(sc, workers=workers)
+        assert str(info.value) == want
+
+
 def test_tunable_override_reaches_branches():
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
     res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=0.7)
@@ -307,7 +346,8 @@ def test_tunable_override_reaches_branches():
     assert abs(res.bare[-1, 1].imag + 0.7) < 1e-15
 
 
-def test_tunable_per_point_array_survives_chunking():
+def test_tunable_per_point_array_survives_chunking(monkeypatch):
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
     ramp = np.linspace(0.3, 0.7, 151)
     res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=ramp, workers=3)
@@ -338,6 +378,7 @@ def test_grid_refinement_keeps_branches():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_one_assembly_per_sweep(monkeypatch, workers):
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
     calls = []
 
     def counting(sc, a, **kwargs):
