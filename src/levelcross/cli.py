@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     sweep = commands.add_parser("sweep", help="run a parameter sweep")
     _add_scenario_flags(sweep)
     sweep.add_argument("--grid", metavar="MIN:MAX:STEPS", help="override the sweep grid")
-    sweep.add_argument("--threads", type=int, default=1, metavar="N")
     sweep.add_argument("--svg", action="store_true", help="also write SVG panels")
     sweep.set_defaults(run=cmd_sweep)
 
@@ -89,7 +88,6 @@ def _build_parser() -> _Parser:
     rep = commands.add_parser("reproduce", help="sweep every fig* preset")
     rep.add_argument("--all", action="store_true", help="run all nine figure presets")
     rep.add_argument("--out", default="out", metavar="DIR")
-    rep.add_argument("--threads", type=int, default=1, metavar="N")
     rep.set_defaults(run=cmd_reproduce)
     return parser
 
@@ -220,11 +218,10 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     scenario = _resolve_scenario(args)
     command = ["sweep", *_source_flags(args)]
-    command += ["--grid", _grid_text(scenario.sweep), "--threads", str(args.threads)]
-    command += ["--out", args.out]
+    command += ["--grid", _grid_text(scenario.sweep), "--out", args.out]
     if args.svg:
         command.append("--svg")
-    result = run_sweep(scenario, workers=args.threads)
+    result = run_sweep(scenario)
     events = detect_crossings(result)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,8 +307,7 @@ def cmd_reproduce(args) -> int:
     base = Path(args.out)
     for pid in PRESET_IDS:
         if pid.startswith("fig"):
-            flags = ["--preset", pid, "--threads", str(args.threads), "--svg"]
-            status = main(["sweep", *flags, "--out", str(base / pid)])
+            status = main(["sweep", "--preset", pid, "--svg", "--out", str(base / pid)])
             if status:
                 return status
     return 0
@@ -322,8 +318,6 @@ def main(argv=None) -> int:
     each with an `error:` line on stderr."""
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         return args.run(args)
     except (_UsageError, ScenarioError, ParseError, EvalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -31,13 +31,12 @@ as free column, holds the other tiny columns at 0 and is bilinearly
 orthogonalized against the earlier members; otherwise the members keep
 one shared direction, flagged defective downstream. A failure names its
 batch index. Sweeps and EP searches solve through `solve_at`, which cuts
-the stack into blocks of SOLVE_BLOCK rows, whatever the thread count, and
-turns the index into the caller's point.
+the stack into blocks of SOLVE_BLOCK rows and turns the index into the
+caller's point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -466,9 +465,8 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     )
 
 
-def solve_at(solve, h, point, workers=1):
-    """solve(h), run in blocks of SOLVE_BLOCK rows in row order and
-    joined; on `workers` threads when h holds more than one block.
+def solve_at(solve, h, point):
+    """solve(h), run in blocks of SOLVE_BLOCK rows in row order, joined.
 
     No row depends on its block, so neither does the result. Of the
     failed blocks the worst counts: a root failure before a failed
@@ -484,12 +482,7 @@ def solve_at(solve, h, point, workers=1):
         except BiorthogonalityError as err:
             return BiorthogonalityError(lo + err.batch_index, err.overlap)
 
-    starts = range(0, max(len(h), 1), SOLVE_BLOCK)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, starts))
-    else:
-        parts = [block(lo) for lo in starts]
+    parts = [block(lo) for lo in range(0, max(len(h), 1), SOLVE_BLOCK)]
     errors = [part for part in parts if isinstance(part, SolverError)]
     if errors:
         roots = [e for e in errors if isinstance(e, RootConvergenceError)]

@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .eigensolve import MAX_ORDER
 from .expressions import ExprAst, eval_expr, parse_expr, to_text
 
 __all__ = [
@@ -93,6 +94,11 @@ class CouplingSpec:
         object.__setattr__(
             self, "selfenergy", {int(k): complex(v) for k, v in self.selfenergy.items()}
         )
+        if not np.isfinite(self.omega):
+            raise ScenarioError(f"omega must be finite, got {self.omega!r}")
+        for v in self.selfenergy.values():
+            if not np.isfinite(v):
+                raise ScenarioError(f"selfenergy must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,8 @@ class Scenario:
         if not self.levels:
             raise ScenarioError("scenario needs at least one level")
         n = len(self.levels)
+        if n > MAX_ORDER:
+            raise ScenarioError(f"scenario has {n} levels; the solver takes at most {MAX_ORDER}")
         for i, j in self.coupling.active_pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ScenarioError(f"coupling pair ({i}, {j}) out of range for {n} levels")

@@ -140,14 +140,12 @@ def run_sweep(
     *,
     tunable: Tunable | None = None,
     value=None,
-    workers: int = 1,
 ) -> SweepResult:
     """Solve the scenario over its sweep grid and track branches.
 
-    The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points on
-    up to `workers` threads; branch matching is a sequential
-    left-to-right pass. The result, and the grid point a failure names,
-    do not depend on the worker count.
+    The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points;
+    branch matching is a sequential left-to-right pass. The result, and
+    the grid point a failure names, do not depend on the block size.
     """
     a = scenario.sweep.points()
     m, n = a.shape[0], scenario.n
@@ -155,7 +153,6 @@ def run_sweep(
         solve_spectrum_batch,
         build_hamiltonian_batch(scenario, a, tunable=tunable, value=value),
         lambda k: f"grid point a={float(a[k])!r}",
-        workers,
     )
     rows = np.arange(m)
 

@@ -297,7 +297,7 @@ def test_criterion_10_norm_divergence_near_ep():
 def test_criterion_11_sweep_performance():
     scenario = replace(preset("fig4"), sweep=SweepGrid(0.0, 1.5, 10000))
     started = perf_counter()
-    result = run_sweep(scenario, workers=1)
+    result = run_sweep(scenario)
     elapsed = perf_counter() - started
     print(f"criterion 11: 4x4 sweep over {result.a.size} points in {elapsed:.3f} s")
     assert result.a.size == 10000

@@ -15,7 +15,13 @@ import pytest
 from levelcross.cli import _write_trajectories_csv, main
 from levelcross.eigensolve import SolverError
 from levelcross.expressions import parse_expr
-from levelcross.model import LevelSpec, SweepGrid, load_scenario, save_scenario
+from levelcross.model import (
+    LevelSpec,
+    SweepGrid,
+    load_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 from levelcross.presets import preset
 from levelcross.svgplot import energies_svg, widths_svg
 from levelcross.sweep import run_sweep
@@ -77,14 +83,22 @@ def test_sweep_csv_is_byte_identical_between_runs(tmp_path):
     assert one == two
 
 
-def test_sweep_threads_do_not_change_bytes(tmp_path, monkeypatch):
+def sweep_outputs(out):
+    """Every file a sweep wrote, the manifest without its duration."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    assert manifest.pop("duration_seconds") > 0
+    return files, manifest
+
+
+def test_sweep_block_cut_does_not_change_bytes(tmp_path, monkeypatch):
+    args = ["sweep", "--preset", "fig4", "--grid", "0:1.5:151", "--svg", "--out", str(tmp_path)]
+    assert main(args) == 0
+    files, manifest = sweep_outputs(tmp_path)
+    assert sorted(files) == ["crossings.json", "energies.svg", "trajectories.csv", "widths.svg"]
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
-    base = ["sweep", "--preset", "fig4", "--grid", "0:1.5:151"]
-    assert main(base + ["--threads", "1", "--out", str(tmp_path / "s")]) == 0
-    assert main(base + ["--threads", "3", "--out", str(tmp_path / "p")]) == 0
-    assert (tmp_path / "s" / "trajectories.csv").read_bytes() == (
-        tmp_path / "p" / "trajectories.csv"
-    ).read_bytes()
+    assert main(args) == 0
+    assert sweep_outputs(tmp_path) == (files, manifest)
 
 
 def test_grid_override(tmp_path):
@@ -136,7 +150,7 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
-    def boom(scenario, workers=1):
+    def boom(scenario):
         raise SolverError("eigensolver failed at grid point a=0.5: no convergence")
 
     monkeypatch.setattr("levelcross.cli.run_sweep", boom)
@@ -152,8 +166,24 @@ def write_pole_scenario(path):
     return path
 
 
+def write_scenario_json(path, obj):
+    """obj as scenario JSON; json writes non-finite floats as NaN and Infinity."""
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def input_faults(tmp_path):
     pole = str(write_pole_scenario(tmp_path / "pole.json"))
+    nine = scenario_to_dict(preset("fig5"))  # a star: every level couples to the last
+    nine["levels"] = nine["levels"][:1] * 8 + nine["levels"][-1:]
+    nine["coupling"]["pairs"] = [[k, 9] for k in range(1, 9)]
+    nine = write_scenario_json(tmp_path / "nine.json", nine)
+    nan_omega = scenario_to_dict(preset("fig1"))
+    nan_omega["coupling"]["omega"]["re"] = float("nan")
+    nan_omega = write_scenario_json(tmp_path / "nan.json", nan_omega)
+    inf_selfenergy = scenario_to_dict(preset("fig1"))
+    inf_selfenergy["coupling"]["selfenergy"] = {"1": {"re": float("inf"), "im": 0.0}}
+    inf_selfenergy = write_scenario_json(tmp_path / "inf.json", inf_selfenergy)
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     return {
@@ -169,7 +199,12 @@ def input_faults(tmp_path):
         ],
         "reproduce --out file": ["reproduce", "--all", "--out", str(a_file)],
         "sweep --threads 0": ["sweep", "--preset", "fig1", "--threads", "0"],
+        "sweep --threads 2": ["sweep", "--preset", "fig1", "--threads", "2"],
         "reproduce --threads -3": ["reproduce", "--all", "--threads", "-3"],
+        "sweep 9 levels": ["sweep", "--scenario", nine],
+        "ep 9 levels": ["ep", "--scenario", nine, "--tune", "gamma_half:1", "--box", "0:1,0.4:0.6"],
+        "sweep NaN omega": ["sweep", "--scenario", nan_omega],
+        "sweep Infinity selfenergy": ["sweep", "--scenario", inf_selfenergy],
     }
 
 
@@ -179,8 +214,13 @@ FAULT_MESSAGES = {
     "sweep --out file": "File exists",
     "ep --out file": "File exists",
     "reproduce --out file": "Not a directory",
-    "sweep --threads 0": "--threads must be >= 1, got 0",
-    "reproduce --threads -3": "--threads must be >= 1, got -3",
+    "sweep --threads 0": "unrecognized arguments: --threads 0",
+    "sweep --threads 2": "unrecognized arguments: --threads 2",
+    "reproduce --threads -3": "unrecognized arguments: --threads -3",
+    "sweep 9 levels": "scenario has 9 levels; the solver takes at most 8",
+    "ep 9 levels": "scenario has 9 levels; the solver takes at most 8",
+    "sweep NaN omega": "omega must be finite, got (nan+0j)",
+    "sweep Infinity selfenergy": "selfenergy must be finite, got (inf+0j)",
 }
 
 
@@ -346,7 +386,7 @@ def test_reproduce_requires_all(capsys):
 
 def test_reproduce_builds_the_figure_tree(tmp_path):
     out = tmp_path / "tree"
-    assert main(["reproduce", "--all", "--threads", "2", "--out", str(out)]) == 0
+    assert main(["reproduce", "--all", "--out", str(out)]) == 0
     dirs = sorted(p.name for p in out.iterdir())
     assert dirs == [f"fig{k}" for k in range(1, 10)]
     for sub in dirs:
@@ -361,7 +401,7 @@ def test_reproduce_builds_the_figure_tree(tmp_path):
     # each figure's files are those of a direct sweep of its preset
     produced = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     for sub in dirs:
-        flags = ["--preset", sub, "--svg", "--threads", "2"]
+        flags = ["--preset", sub, "--svg"]
         assert main(["sweep", *flags, "--out", str(out / sub)]) == 0
     for path, data in produced.items():
         if path.name == "manifest.json":

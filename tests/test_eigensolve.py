@@ -834,18 +834,17 @@ def test_solver_requires_square_stack():
 # solve_at: every stack in blocks of SOLVE_BLOCK rows
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("rows", [1, es.SOLVE_BLOCK, es.SOLVE_BLOCK + 1, 10**4])
-def test_solve_at_blocks_are_bit_equal_to_one_solve(rows, workers):
+def test_solve_at_blocks_are_bit_equal_to_one_solve(rows):
     # the first rows of fig4 at 10^4 points: one block, one full block,
     # a block and one row, and three blocks
     sc = preset("fig4")
     h = build_hamiltonian_batch(sc, np.linspace(sc.sweep.a_min, sc.sweep.a_max, 10**4))[:rows]
-    whole, blocks = solve_spectrum_batch(h), solve_at(solve_spectrum_batch, h, str, workers)
+    whole, blocks = solve_spectrum_batch(h), solve_at(solve_spectrum_batch, h, str)
     for f in fields(SpectrumBatch):
         want, got = getattr(whole, f.name), getattr(blocks, f.name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
-    values = solve_at(eigenvalues_batch, h, str, workers)
+    values = solve_at(eigenvalues_batch, h, str)
     assert values.tobytes() == eigenvalues_batch(h).tobytes()
 
 
@@ -866,7 +865,6 @@ def failing_solve(residuals, overlaps):
     return solve
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize(
     "residuals, overlaps, row",
     [
@@ -875,13 +873,13 @@ def failing_solve(residuals, overlaps):
         ({2: 1e-3, 9: np.inf}, {18: 0.5}, 9),       # the largest residual
     ],
 )
-def test_solve_at_names_the_failure_a_single_solve_names(monkeypatch, workers, residuals, overlaps, row):
+def test_solve_at_names_the_failure_a_single_solve_names(monkeypatch, residuals, overlaps, row):
     h = np.arange(20, dtype=complex).reshape(20, 1, 1)
     solve = failing_solve(residuals, overlaps)
     with pytest.raises(SolverError) as single:
-        solve_at(solve, h, lambda k: f"row {k}", workers)
+        solve_at(solve, h, lambda k: f"row {k}")
     assert re.match(rf"eigensolver failed at row {row}: .*\(batch index {row}\b", str(single.value))
     monkeypatch.setattr(es, "SOLVE_BLOCK", 4)  # five blocks
     with pytest.raises(SolverError) as blocked:
-        solve_at(solve, h, lambda k: f"row {k}", workers)
+        solve_at(solve, h, lambda k: f"row {k}")
     assert str(blocked.value) == str(single.value)

@@ -188,21 +188,21 @@ def test_branch_values_cover_the_spectrum():
     assert np.array_equal(raw[rows, order_raw], tracked[rows, order_tracked])
 
 
-def test_worker_count_is_invisible(monkeypatch):
-    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 7 blocks, not 1
+def test_block_size_is_invisible(monkeypatch):
     sc = scenario(
         ["1 - a/2", "a"], [0.5, 0.5999], omega=0.05, profile="gaussian",
         grid=(0.0, 1.5, 97),
     )
-    res1 = run_sweep(sc, workers=1)
-    res4 = run_sweep(sc, workers=4)
-    for t1, t4 in zip(res1, res4):
-        assert np.array_equal(t1.energy, t4.energy)
-        assert np.array_equal(t1.gamma_half, t4.gamma_half)
-        assert np.array_equal(t1.vectors, t4.vectors)
-        assert np.array_equal(t1.norm_a, t4.norm_a)
-        assert np.all(t1.norm_a >= 1.0 - 1e-12)
-        assert np.array_equal(t1.defective, t4.defective)
+    whole = run_sweep(sc)
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 7 blocks, not 1
+    blocked = run_sweep(sc)
+    for tw, tb in zip(whole, blocked):
+        assert np.array_equal(tw.energy, tb.energy)
+        assert np.array_equal(tw.gamma_half, tb.gamma_half)
+        assert np.array_equal(tw.vectors, tb.vectors)
+        assert np.array_equal(tw.norm_a, tb.norm_a)
+        assert np.all(tw.norm_a >= 1.0 - 1e-12)
+        assert np.array_equal(tw.defective, tb.defective)
 
 
 def twin_fig1():
@@ -219,12 +219,11 @@ def test_symmetric_twin_holds_exactly_equal_pairs(tmp_path, monkeypatch):
     assert np.array_equal(values[:, 0::2], values[:, 1::2])
     path = tmp_path / "twin.json"
     save_scenario(sc, path)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "1")]) == 0
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 126 blocks, not 1
-    for threads in ("1", "3"):
-        out = str(tmp_path / threads)
-        assert main(["sweep", "--scenario", str(path), "--threads", threads, "--out", out]) == 0
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "126")]) == 0
     assert (tmp_path / "1" / "trajectories.csv").read_bytes() == (
-        tmp_path / "3" / "trajectories.csv"
+        tmp_path / "126" / "trajectories.csv"
     ).read_bytes()
 
 
@@ -320,9 +319,9 @@ FAILED_CHECK = (
 )
 
 
-@pytest.mark.parametrize("block", [None, 256])
+@pytest.mark.parametrize("block", [None, 256, 16])
 @pytest.mark.parametrize("case", ["star6", "twin at 10^4 points"])
-def test_failure_message_does_not_depend_on_threads_or_blocks(monkeypatch, case, block):
+def test_failure_message_does_not_depend_on_blocks(monkeypatch, case, block):
     # the message one solve of the whole grid gives; with 256-row blocks
     # star6 fails in blocks 3 and 4 and the twin in block 17
     if case == "star6":
@@ -332,10 +331,9 @@ def test_failure_message_does_not_depend_on_threads_or_blocks(monkeypatch, case,
         want = FAILED_CHECK.format(0.6666666666666667, "1.732e-08", 4444)
     if block:
         monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)
-    for workers in (1, 2, 3):
-        with pytest.raises(SolverError) as info:
-            run_sweep(sc, workers=workers)
-        assert str(info.value) == want
+    with pytest.raises(SolverError) as info:
+        run_sweep(sc)
+    assert str(info.value) == want
 
 
 def test_tunable_override_reaches_branches():
@@ -350,7 +348,7 @@ def test_tunable_per_point_array_survives_chunking(monkeypatch):
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
     ramp = np.linspace(0.3, 0.7, 151)
-    res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=ramp, workers=3)
+    res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=ramp)
     np.testing.assert_allclose(
         res.by_start_level(1).gamma_half, ramp, atol=1e-10
     )
@@ -376,8 +374,7 @@ def test_grid_refinement_keeps_branches():
         np.testing.assert_allclose(tc.gamma_half, tf.gamma_half[::2], atol=1e-9)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_one_assembly_per_sweep(monkeypatch, workers):
+def test_one_assembly_per_sweep(monkeypatch):
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
     calls = []
 
@@ -387,7 +384,7 @@ def test_one_assembly_per_sweep(monkeypatch, workers):
 
     monkeypatch.setattr("levelcross.sweep.build_hamiltonian_batch", counting)
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], omega=0.05, grid=(0.0, 1.5, 151))
-    run_sweep(sc, workers=workers)
+    run_sweep(sc)
     assert calls == [151]
 
 
