@@ -834,10 +834,13 @@ def test_solver_requires_square_stack():
 # solve_at: every stack in blocks of SOLVE_BLOCK rows
 
 
+@pytest.mark.parametrize("split", [1, 3])
 @pytest.mark.parametrize("rows", [1, es.SOLVE_BLOCK, es.SOLVE_BLOCK + 1, 10**4])
-def test_solve_at_blocks_are_bit_equal_to_one_solve(rows):
+def test_solve_at_blocks_are_bit_equal_to_one_solve(monkeypatch, rows, split):
     # the first rows of fig4 at 10^4 points: one block, one full block,
-    # a block and one row, and three blocks
+    # a block and one row, and three blocks; split 3 cuts each block in
+    # thirds of 1365 rows, so every stack but one row ends mid-block
+    monkeypatch.setattr(es, "SOLVE_BLOCK", es.SOLVE_BLOCK // split)
     sc = preset("fig4")
     h = build_hamiltonian_batch(sc, np.linspace(sc.sweep.a_min, sc.sweep.a_max, 10**4))[:rows]
     whole, blocks = solve_spectrum_batch(h), solve_at(solve_spectrum_batch, h, str)
@@ -865,6 +868,7 @@ def failing_solve(residuals, overlaps):
     return solve
 
 
+@pytest.mark.parametrize("block", [1, 3, 4])
 @pytest.mark.parametrize(
     "residuals, overlaps, row",
     [
@@ -873,13 +877,13 @@ def failing_solve(residuals, overlaps):
         ({2: 1e-3, 9: np.inf}, {18: 0.5}, 9),       # the largest residual
     ],
 )
-def test_solve_at_names_the_failure_a_single_solve_names(monkeypatch, residuals, overlaps, row):
+def test_solve_at_names_the_failure_a_single_solve_names(monkeypatch, residuals, overlaps, row, block):
     h = np.arange(20, dtype=complex).reshape(20, 1, 1)
     solve = failing_solve(residuals, overlaps)
     with pytest.raises(SolverError) as single:
         solve_at(solve, h, lambda k: f"row {k}")
     assert re.match(rf"eigensolver failed at row {row}: .*\(batch index {row}\b", str(single.value))
-    monkeypatch.setattr(es, "SOLVE_BLOCK", 4)  # five blocks
+    monkeypatch.setattr(es, "SOLVE_BLOCK", block)  # 20, 7 or 5 blocks
     with pytest.raises(SolverError) as blocked:
         solve_at(solve, h, lambda k: f"row {k}")
     assert str(blocked.value) == str(single.value)

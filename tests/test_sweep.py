@@ -374,8 +374,9 @@ def test_grid_refinement_keeps_branches():
         np.testing.assert_allclose(tc.gamma_half, tf.gamma_half[::2], atol=1e-9)
 
 
-def test_one_assembly_per_sweep(monkeypatch):
-    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_one_assembly_per_sweep(monkeypatch, block):
+    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)  # 151, 51 or 10 blocks, not 1
     calls = []
 
     def counting(sc, a, **kwargs):
