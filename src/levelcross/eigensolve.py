@@ -361,9 +361,6 @@ class SpectrumBatch:
     norm_a: np.ndarray
     residual: np.ndarray
 
-    def __len__(self):
-        return self.values.shape[0]
-
 
 def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     """Eigenvalues only, sorted by (Re, Im) per point; (m, n, n) -> (m, n).

@@ -74,7 +74,7 @@ def _normalize_pairs(pairs) -> frozenset:
     for item in pairs:
         i, j = int(item[0]), int(item[1])
         if i == j:
-            raise ScenarioError(f"coupling pair ({i}, {j}) couples a level to itself")
+            raise ScenarioError(f"coupling pair ({i + 1}, {j + 1}) couples a level to itself")
         out.add((min(i, j), max(i, j)))
     return frozenset(out)
 
@@ -135,10 +135,10 @@ class Scenario:
             raise ScenarioError(f"scenario has {n} levels; the solver takes at most {MAX_ORDER}")
         for i, j in self.coupling.active_pairs:
             if not (0 <= i < n and 0 <= j < n):
-                raise ScenarioError(f"coupling pair ({i}, {j}) out of range for {n} levels")
+                raise ScenarioError(f"coupling pair ({i + 1}, {j + 1}) out of range for {n} levels")
         for k in self.coupling.selfenergy:
             if not 0 <= k < n:
-                raise ScenarioError(f"selfenergy index {k} out of range for {n} levels")
+                raise ScenarioError(f"selfenergy index {k + 1} out of range for {n} levels")
 
     @property
     def n(self) -> int:
@@ -160,7 +160,7 @@ class Tunable:
         if self.kind not in ("gamma_half", "energy_offset"):
             raise ScenarioError(f"unknown tunable kind {self.kind!r}")
         if self.level < 0:
-            raise ScenarioError(f"tunable level must be >= 0, got {self.level}")
+            raise ScenarioError(f"tunable level must be >= 1, got {self.level + 1}")
 
 
 def level_energies(scenario: Scenario, a) -> np.ndarray:
@@ -199,7 +199,7 @@ def bare_levels(
         if value is None:
             raise ScenarioError("tunable override needs a value")
         if tunable.level >= n:
-            raise ScenarioError(f"tunable level {tunable.level} out of range for {n} levels")
+            raise ScenarioError(f"tunable level {tunable.level + 1} out of range for {n} levels")
         if tunable.kind == "gamma_half":
             gamma[:, tunable.level] = value
         else:
@@ -230,9 +230,10 @@ def build_hamiltonian_batch(
 
 
 # ---------------------------------------------------------------------------
-# Scenario file format. Level indices are 1-based in files; "all" is
-# accepted for the pair list and expands at parse time, so a serialized
-# scenario always carries the explicit sorted pair list.
+# Scenario file format. Level indices are 1-based in files, as in error
+# messages; "all" is accepted for the pair list and expands at parse
+# time, so a serialized scenario always carries the explicit sorted pair
+# list.
 
 def _complex_to_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}

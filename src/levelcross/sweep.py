@@ -9,9 +9,11 @@ point, where overlaps are ill-defined and eigenvalue proximity is the
 only sensible objective.
 
 Branches are numbered by the unperturbed levels sorted ascending in
-(e_i(a_min), gamma_i/2, i); each Trajectory records which level it
-started nearest to, which is what the exchange criteria compare against
-the state of affairs at a_max.
+(e_i(a_min), gamma_i/2, i). Each Trajectory records its start level: the
+level assignment at a_min maximizes the summed eigenvector components,
+with eigenvalue proximity to the bare levels breaking ties. At a_max the
+exchange criteria assign each branch the bare level its eigenvalue is
+nearest to, and compare the two ends.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import SpectrumBatch, solve_at, solve_spectrum_batch
-from .model import Scenario, Tunable, bare_levels, build_hamiltonian_batch
+from .model import Scenario, bare_levels, build_hamiltonian_batch
 
 __all__ = [
     "CROSSING_TOL",
@@ -78,21 +80,26 @@ def _step_permutations(batch: SpectrumBatch) -> np.ndarray:
 class Trajectory:
     """One branch of the spectrum followed across the sweep grid.
 
-    start_level is the 0-based unperturbed level whose (e, gamma/2) the
-    branch starts nearest to at a_min.
+    values holds its complex eigenvalues E - i Gamma/2 at every grid
+    point. start_level is the 0-based unperturbed level the branch is
+    assigned to at a_min: the assignment with the largest summed
+    eigenvector components, eigenvalue proximity breaking ties.
     """
 
     branch_id: int
     start_level: int
-    energy: np.ndarray
-    gamma_half: np.ndarray
+    values: np.ndarray
     vectors: np.ndarray
     norm_a: np.ndarray
     defective: np.ndarray
 
     @property
-    def values(self) -> np.ndarray:
-        return self.energy - 1j * self.gamma_half
+    def energy(self) -> np.ndarray:
+        return self.values.real
+
+    @property
+    def gamma_half(self) -> np.ndarray:
+        return -self.values.imag
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,8 @@ class SweepResult:
     """Branch-tracked sweep output.
 
     bare holds the unperturbed complex energies e_i(a) - i gamma_i/2,
-    override applied, level-indexed columns; crossing classification
-    compares branch endpoints against its last row.
+    level-indexed columns; crossing classification compares branch
+    endpoints against its last row.
     """
 
     scenario: Scenario
@@ -119,15 +126,6 @@ class SweepResult:
     bare: np.ndarray
     residual: np.ndarray
 
-    def __len__(self):
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
-
-    def __getitem__(self, k):
-        return self.trajectories[k]
-
     def by_start_level(self, level: int) -> Trajectory:
         for trajectory in self.trajectories:
             if trajectory.start_level == level:
@@ -135,12 +133,7 @@ class SweepResult:
         raise KeyError(f"no branch starts at level {level}")
 
 
-def run_sweep(
-    scenario: Scenario,
-    *,
-    tunable: Tunable | None = None,
-    value=None,
-) -> SweepResult:
+def run_sweep(scenario: Scenario) -> SweepResult:
     """Solve the scenario over its sweep grid and track branches.
 
     The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points;
@@ -151,7 +144,7 @@ def run_sweep(
     m, n = a.shape[0], scenario.n
     batch = solve_at(
         solve_spectrum_batch,
-        build_hamiltonian_batch(scenario, a, tunable=tunable, value=value),
+        build_hamiltonian_batch(scenario, a),
         lambda k: f"grid point a={float(a[k])!r}",
     )
     rows = np.arange(m)
@@ -159,7 +152,7 @@ def run_sweep(
     step_perm = _step_permutations(batch)
 
     # initial branch labels: levels sorted by (e(a_min), gamma/2, index)
-    bare = bare_levels(scenario, a, tunable=tunable, value=value)
+    bare = bare_levels(scenario, a)
     eps0 = bare[0]
     half_widths = -eps0.imag
     level_order = np.lexsort((np.arange(n), half_widths, eps0.real))
@@ -175,13 +168,11 @@ def run_sweep(
     trajectories = []
     for b in range(n):
         seq = idx[:, b]
-        values = batch.values[rows, seq]
         trajectories.append(
             Trajectory(
                 branch_id=b,
                 start_level=int(level_order[b]),
-                energy=values.real.copy(),
-                gamma_half=(-values.imag).copy(),
+                values=batch.values[rows, seq],
                 vectors=batch.vectors[rows, seq],
                 norm_a=batch.norm_a[rows, seq],
                 defective=batch.defective[rows, seq],
@@ -230,9 +221,7 @@ def _valleys(depth: np.ndarray, tol: float):
 def _end_levels(result: SweepResult) -> np.ndarray:
     """Branch -> nearest unperturbed level assignment at a_max."""
     eps_end = result.bare[-1]
-    ends = np.array(
-        [t.energy[-1] - 1j * t.gamma_half[-1] for t in result.trajectories]
-    )
+    ends = np.array([t.values[-1] for t in result.trajectories])
     cost = np.abs(ends[:, None] - eps_end[None, :])
     return _best_assignment(-cost[None], cost[None])[0]
 
@@ -299,9 +288,7 @@ def detect_crossings(result: SweepResult):
 
 
 def _mutually_closest(trajectories, i, j, k) -> bool:
-    values = np.array(
-        [t.energy[k] - 1j * t.gamma_half[k] for t in trajectories]
-    )
+    values = np.array([t.values[k] for t in trajectories])
     dist = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(dist, np.inf)
     return int(np.argmin(dist[i])) == j and int(np.argmin(dist[j])) == i

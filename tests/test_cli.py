@@ -172,18 +172,31 @@ def write_scenario_json(path, obj):
     return str(path)
 
 
+def write_fig1_variant(path, levels=slice(None), **coupling):
+    """fig1 as scenario JSON, its levels sliced and coupling fields replaced."""
+    obj = scenario_to_dict(preset("fig1"))
+    obj["levels"] = obj["levels"][levels]
+    obj["coupling"].update(coupling)
+    return write_scenario_json(path, obj)
+
+
 def input_faults(tmp_path):
     pole = str(write_pole_scenario(tmp_path / "pole.json"))
     nine = scenario_to_dict(preset("fig5"))  # a star: every level couples to the last
     nine["levels"] = nine["levels"][:1] * 8 + nine["levels"][-1:]
     nine["coupling"]["pairs"] = [[k, 9] for k in range(1, 9)]
     nine = write_scenario_json(tmp_path / "nine.json", nine)
-    nan_omega = scenario_to_dict(preset("fig1"))
-    nan_omega["coupling"]["omega"]["re"] = float("nan")
-    nan_omega = write_scenario_json(tmp_path / "nan.json", nan_omega)
-    inf_selfenergy = scenario_to_dict(preset("fig1"))
-    inf_selfenergy["coupling"]["selfenergy"] = {"1": {"re": float("inf"), "im": 0.0}}
-    inf_selfenergy = write_scenario_json(tmp_path / "inf.json", inf_selfenergy)
+    nan_omega = write_fig1_variant(tmp_path / "nan.json", omega={"re": float("nan"), "im": 0.0})
+    inf_selfenergy = write_fig1_variant(
+        tmp_path / "inf.json", selfenergy={"1": {"re": float("inf"), "im": 0.0}}
+    )
+    far_pair = write_fig1_variant(tmp_path / "far_pair.json", pairs=[[1, 3]])
+    self_pair = write_fig1_variant(tmp_path / "self_pair.json", pairs=[[2, 2]])
+    far_selfenergy = write_fig1_variant(
+        tmp_path / "far_selfenergy.json", selfenergy={"3": {"re": 0.1, "im": 0.0}}
+    )
+    no_levels = write_fig1_variant(tmp_path / "no_levels.json", levels=slice(0), pairs=[])
+    fig1_ep = ["ep", "--preset", "fig1", "--tune", "gamma_half:2"]
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     return {
@@ -205,6 +218,16 @@ def input_faults(tmp_path):
         "ep 9 levels": ["ep", "--scenario", nine, "--tune", "gamma_half:1", "--box", "0:1,0.4:0.6"],
         "sweep NaN omega": ["sweep", "--scenario", nan_omega],
         "sweep Infinity selfenergy": ["sweep", "--scenario", inf_selfenergy],
+        "sweep pair (1, 3) of 2 levels": ["sweep", "--scenario", far_pair],
+        "sweep pair (2, 2)": ["sweep", "--scenario", self_pair],
+        "sweep selfenergy 3 of 2 levels": ["sweep", "--scenario", far_selfenergy],
+        "ep --tune level 5 of 2": [
+            "ep", "--preset", "fig1", "--tune", "gamma_half:5", "--box", "0.3:1.0,0.4:0.8",
+        ],
+        "ep --box side not LO:HI": [*fig1_ep, "--box", "0.3:1.0,0.4"],
+        "ep --box bound not a number": [*fig1_ep, "--box", "0.3:x,0.4:0.8"],
+        "sweep --grid NaN bound": ["sweep", "--preset", "fig1", "--grid", "nan:1:11"],
+        "sweep no levels": ["sweep", "--scenario", no_levels],
     }
 
 
@@ -221,6 +244,14 @@ FAULT_MESSAGES = {
     "ep 9 levels": "scenario has 9 levels; the solver takes at most 8",
     "sweep NaN omega": "omega must be finite, got (nan+0j)",
     "sweep Infinity selfenergy": "selfenergy must be finite, got (inf+0j)",
+    "sweep pair (1, 3) of 2 levels": "coupling pair (1, 3) out of range for 2 levels",
+    "sweep pair (2, 2)": "coupling pair (2, 2) couples a level to itself",
+    "sweep selfenergy 3 of 2 levels": "selfenergy index 3 out of range for 2 levels",
+    "ep --tune level 5 of 2": "tunable level 5 out of range for 2 levels",
+    "ep --box side not LO:HI": "--box expects ALO:AHI,TLO:THI, got '0.3:1.0,0.4'",
+    "ep --box bound not a number": "bad --box bound in '0.3:x'",
+    "sweep --grid NaN bound": "bad --grid 'nan:1:11': sweep bounds must be finite",
+    "sweep no levels": "scenario needs at least one level",
 }
 
 

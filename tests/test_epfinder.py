@@ -28,6 +28,7 @@ from levelcross.model import (
     CouplingSpec,
     LevelSpec,
     Scenario,
+    ScenarioError,
     SweepGrid,
     Tunable,
     build_hamiltonian_batch,
@@ -199,6 +200,18 @@ def test_degenerate_box_rejected():
         find_ep(sc, TUNE_G2, ((0.5, 0.5), (0.4, 0.8)))
     with pytest.raises(ValueError, match="finite"):
         find_ep(sc, TUNE_G2, ((0.3, np.inf), (0.4, 0.8)))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda sc: coalescence_gap(sc, 0.5), lambda sc: find_ep(sc, Tunable("gamma_half", 0), BOX)],
+    ids=["coalescence_gap", "find_ep"],
+)
+def test_one_level_is_rejected(search):
+    sc = two_level_constant()
+    one = replace(sc, levels=sc.levels[:1], coupling=replace(sc.coupling, active_pairs=()))
+    with pytest.raises(ScenarioError, match="at least two levels"):
+        search(one)
 
 
 def test_norm_blowup_grows_toward_the_coalescence():

@@ -33,7 +33,7 @@ def test_unknown_identifier_offset():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", "(a+1", "a+", "a b", "1..2", "a )", "*a", "2 3"],
+    ["", "   ", "(a+1", "a+", "a b", "1..2", "a )", "*a", "2 3", "1 $ a"],
 )
 def test_rejects_malformed(text):
     with pytest.raises(ParseError):

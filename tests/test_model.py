@@ -198,6 +198,8 @@ def test_tunable_accepts_per_point_values():
 def test_tunable_validation():
     with pytest.raises(ScenarioError):
         Tunable("width", 0)
+    with pytest.raises(ScenarioError, match="tunable level must be >= 1, got 0"):
+        Tunable("gamma_half", -1)
     sc = two_level()
     with pytest.raises(ScenarioError):
         build_hamiltonian_batch(sc, [0.5], tunable=Tunable("gamma_half", 5), value=0.5)

@@ -71,11 +71,11 @@ def test_decoupled_branches_follow_levels():
     res = run_sweep(sc)
     a = res.a
     # ascending e(0) = (1, 0, 0.7) puts the levels in order 1, 2, 0
-    assert [t.start_level for t in res] == [1, 2, 0]
-    assert [t.branch_id for t in res] == [0, 1, 2]
+    assert [t.start_level for t in res.trajectories] == [1, 2, 0]
+    assert [t.branch_id for t in res.trajectories] == [0, 1, 2]
     expected_e = {0: 1 - a / 2, 1: a, 2: np.full_like(a, 0.7)}
     expected_g = {0: 0.5, 1: 0.4, 2: 0.3}
-    for t in res:
+    for t in res.trajectories:
         np.testing.assert_allclose(t.energy, expected_e[t.start_level], atol=1e-10)
         np.testing.assert_allclose(t.gamma_half, expected_g[t.start_level], atol=1e-10)
         assert not t.defective.any()
@@ -100,7 +100,7 @@ def test_decoupled_crossing_events():
 def test_grid_point_true_crossing_zero_split():
     sc = scenario(["1 - a", "a"], [0.5, 0.5], grid=(0.0, 1.0, 3))
     res = run_sweep(sc)
-    assert not any(t.defective.any() for t in res)
+    assert not any(t.defective.any() for t in res.trajectories)
     events = detect_crossings(res)
     assert len(events) == 1
     ev = events[0]
@@ -131,7 +131,7 @@ def test_avoided_crossing_with_exchange():
     assert abs(ev.a_cr - 2.0 / 3.0) < 0.01
     assert 0.0 < ev.max_width_split <= 0.1 + 1e-12
     assert ev.exchange_detected
-    assert not any(t.defective.any() for t in res)
+    assert not any(t.defective.any() for t in res.trajectories)
 
 
 def test_imaginary_coupling_true_energy_interval():
@@ -147,7 +147,7 @@ def test_imaginary_coupling_true_energy_interval():
     ev = events[0]
     assert abs(ev.a_cr - 2.0 / 3.0) < 0.01
     assert 0.09 < ev.max_width_split <= 0.1
-    assert not any(t.defective.any() for t in res)
+    assert not any(t.defective.any() for t in res.trajectories)
 
 
 def test_grid_point_on_coalescence_is_reported():
@@ -165,9 +165,9 @@ def test_grid_point_on_coalescence_is_reported():
     assert ev.pair == (0, 1)
     assert ev.max_width_split == 0.0
     k = np.argmin(np.abs(res.a - 0.6))
-    assert all(t.defective[k] for t in res)
-    assert res[0].energy[k] == res[1].energy[k]
-    assert res[0].gamma_half[k] == res[1].gamma_half[k]
+    assert all(t.defective[k] for t in res.trajectories)
+    first, second = res.trajectories
+    assert first.values[k] == second.values[k]
 
 
 def test_branch_values_cover_the_spectrum():
@@ -181,7 +181,7 @@ def test_branch_values_cover_the_spectrum():
     res = run_sweep(sc)
     h = build_hamiltonian_batch(sc, res.a)
     raw = eigenvalues_batch(h)
-    tracked = np.stack([t.energy - 1j * t.gamma_half for t in res], axis=1)
+    tracked = np.stack([t.values for t in res.trajectories], axis=1)
     order_raw = np.lexsort((raw.imag, raw.real), axis=1)
     order_tracked = np.lexsort((tracked.imag, tracked.real), axis=1)
     rows = np.arange(raw.shape[0])[:, None]
@@ -196,9 +196,8 @@ def test_block_size_is_invisible(monkeypatch):
     whole = run_sweep(sc)
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 7 blocks, not 1
     blocked = run_sweep(sc)
-    for tw, tb in zip(whole, blocked):
-        assert np.array_equal(tw.energy, tb.energy)
-        assert np.array_equal(tw.gamma_half, tb.gamma_half)
+    for tw, tb in zip(whole.trajectories, blocked.trajectories):
+        assert np.array_equal(tw.values, tb.values)
         assert np.array_equal(tw.vectors, tb.vectors)
         assert np.array_equal(tw.norm_a, tb.norm_a)
         assert np.all(tw.norm_a >= 1.0 - 1e-12)
@@ -337,21 +336,15 @@ def test_failure_message_does_not_depend_on_blocks(monkeypatch, case, block):
 
 
 def test_tunable_override_reaches_branches():
+    # a tuned sweep is a sweep of the scenario with the level replaced
     sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
-    res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=0.7)
+    tuned = replace(sc, levels=(sc.levels[0], replace(sc.levels[1], half_width=0.7)))
+    res = run_sweep(tuned)
+    override = build_hamiltonian_batch(sc, res.a, tunable=Tunable("gamma_half", 1), value=0.7)
+    assert build_hamiltonian_batch(tuned, res.a).tobytes() == override.tobytes()
     t = res.by_start_level(1)
     np.testing.assert_allclose(t.gamma_half, 0.7, atol=1e-10)
     assert abs(res.bare[-1, 1].imag + 0.7) < 1e-15
-
-
-def test_tunable_per_point_array_survives_chunking(monkeypatch):
-    monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 10 blocks, not 1
-    sc = scenario(["1 - a/2", "a"], [0.5, 0.4], grid=(0.0, 1.5, 151))
-    ramp = np.linspace(0.3, 0.7, 151)
-    res = run_sweep(sc, tunable=Tunable("gamma_half", 1), value=ramp)
-    np.testing.assert_allclose(
-        res.by_start_level(1).gamma_half, ramp, atol=1e-10
-    )
 
 
 def test_grid_refinement_keeps_branches():
@@ -368,7 +361,7 @@ def test_grid_refinement_keeps_branches():
     )
     rc, rf = run_sweep(coarse), run_sweep(fine)
     np.testing.assert_allclose(rc.a, rf.a[::2], atol=1e-14)
-    for tc, tf in zip(rc, rf):
+    for tc, tf in zip(rc.trajectories, rf.trajectories):
         assert tc.start_level == tf.start_level
         np.testing.assert_allclose(tc.energy, tf.energy[::2], atol=1e-9)
         np.testing.assert_allclose(tc.gamma_half, tf.gamma_half[::2], atol=1e-9)
@@ -412,10 +405,9 @@ def test_bare_matches_the_coupling_free_diagonal_under_a_tunable(kind, per_point
     sc = replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 101))
     tunable = Tunable(kind, 3)
     value = np.linspace(0.2, 0.7, 101) if per_point else 0.3
-    res = run_sweep(sc, tunable=tunable, value=value)
-    want = coupling_free_diagonal(sc, res.a, tunable, value)
-    assert res.bare.tobytes() == want.tobytes()
-    assert res.bare.tobytes() == bare_levels(sc, res.a, tunable=tunable, value=value).tobytes()
+    a = sc.sweep.points()
+    want = coupling_free_diagonal(sc, a, tunable, value)
+    assert bare_levels(sc, a, tunable=tunable, value=value).tobytes() == want.tobytes()
 
 
 def test_by_start_level_lookup():
@@ -424,8 +416,6 @@ def test_by_start_level_lookup():
     assert res.by_start_level(0).start_level == 0
     with pytest.raises(KeyError):
         res.by_start_level(5)
-    assert len(res) == 2
-    assert res[0] is res.trajectories[0]
 
 
 # ---------------------------------------------------------------------------
