@@ -7,8 +7,8 @@ reproduce  run every fig* preset into a directory tree
 Exit codes: 0 success, 1 unusable input (flags, scenario file, box, an
 expression fault on the grid or in the box, an unusable --out), 2
 solver failure, 3 exceptional point search did not converge. Every
-output set comes with a manifest.json naming the exact command; the
-CSV it reproduces is byte-identical run to run.
+output set comes with a manifest.json holding the command line as it
+ran; re-running it writes the same bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ def _build_parser() -> _Parser:
     ep.set_defaults(run=cmd_ep)
 
     rep = commands.add_parser("reproduce", help="sweep every fig* preset")
-    rep.add_argument("--all", action="store_true", help="run all nine figure presets")
     rep.add_argument("--out", default="out", metavar="DIR")
     rep.set_defaults(run=cmd_reproduce)
     return parser
@@ -149,18 +148,6 @@ def _resolve_scenario(args) -> Scenario:
     return scenario
 
 
-def _source_flags(args) -> list[str]:
-    """The --preset/--scenario and --profile flags, echoed into the manifest."""
-    flags = ["--preset", args.preset] if args.preset else ["--scenario", args.scenario]
-    if args.profile:
-        flags += ["--profile", args.profile]
-    return flags
-
-
-def _grid_text(grid: SweepGrid) -> str:
-    return f"{grid.a_min:.17g}:{grid.a_max:.17g}:{grid.steps}"
-
-
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2)
@@ -217,10 +204,6 @@ def _manifest(command, scenario, outputs, started, extra=None) -> dict:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     scenario = _resolve_scenario(args)
-    command = ["sweep", *_source_flags(args)]
-    command += ["--grid", _grid_text(scenario.sweep), "--out", args.out]
-    if args.svg:
-        command.append("--svg")
     result = run_sweep(scenario)
     events = detect_crossings(result)
     out = Path(args.out)
@@ -249,7 +232,7 @@ def cmd_sweep(args) -> int:
         (out / "widths.svg").write_text(widths_svg(result), encoding="utf-8")
         outputs += ["energies.svg", "widths.svg"]
     outputs.append("manifest.json")
-    _write_json(out / "manifest.json", _manifest(command, scenario, outputs, started))
+    _write_json(out / "manifest.json", _manifest(args.argv, scenario, outputs, started))
     print(
         f"{scenario.label}: {result.a.size} grid points, {scenario.n} branches,"
         f" {len(events)} crossing events"
@@ -267,8 +250,6 @@ def cmd_ep(args) -> int:
     report = find_ep(scenario, tunable, box)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    command = ["ep", *_source_flags(args)]
-    command += ["--tune", args.tune, "--box", args.box, "--out", args.out]
     _write_json(
         out / "ep.json",
         {
@@ -291,7 +272,7 @@ def cmd_ep(args) -> int:
     }
     _write_json(
         out / "manifest.json",
-        _manifest(command, scenario, ["ep.json", "manifest.json"], started, search),
+        _manifest(args.argv, scenario, ["ep.json", "manifest.json"], started, search),
     )
     print(f"({report.location[0]:#.6g}, {report.location[1]:#.6g})")
     print(f"gap = {report.gap:#.6g}")
@@ -302,8 +283,6 @@ def cmd_ep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if not args.all:
-        raise _UsageError("reproduce requires --all")
     base = Path(args.out)
     for pid in PRESET_IDS:
         if pid.startswith("fig"):
@@ -315,9 +294,11 @@ def cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command; every input fault exits 1 and a solver failure 2,
-    each with an `error:` line on stderr."""
+    each with an `error:` line on stderr. The manifest records argv as given."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
+        args.argv = argv
         return args.run(args)
     except (_UsageError, ScenarioError, ParseError, EvalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -179,12 +179,17 @@ def parse_expr(text: str) -> ExprAst:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with a byte offset) for empty input, unknown
-    identifiers, unbalanced parentheses, and trailing garbage.
+    identifiers, unbalanced parentheses, trailing garbage, and nesting
+    deeper than the interpreter's recursion limit allows.
     """
     parser = _Parser(text)
     if parser.peek() is None:
         raise ParseError("empty expression", 0)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        offset = parser.tokens[parser.pos - 1][2]  # the opener that went too deep
+        raise ParseError("expression nested too deeply", offset) from None
     if (tok := parser.peek()) is not None:
         raise ParseError(f"trailing garbage {tok[1]!r}", tok[2])
     return node
@@ -274,8 +279,6 @@ def _render(node: ExprAst) -> str:
         return f"-{inner}"
     left, right = _render(node.left), _render(node.right)
     if node.op in "+-":
-        if _prec(node.left) < _PREC[node.op]:
-            left = f"({left})"
         if _prec(node.right) <= _PREC[node.op]:
             right = f"({right})"
         return f"{left} {node.op} {right}"

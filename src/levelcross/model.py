@@ -246,6 +246,15 @@ def _complex_from_dict(obj) -> complex:
         raise ScenarioError(f"expected {{re, im}} pair, got {obj!r}") from err
 
 
+def _integer(value, name: str) -> int:
+    """A whole JSON number as an int; int() would truncate 2.9 and take True."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     coupling = scenario.coupling
     return {
@@ -282,7 +291,7 @@ def scenario_from_dict(obj) -> Scenario:
         if pairs == "all":
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         else:
-            pairs = [(int(i) - 1, int(j) - 1) for i, j in pairs]
+            pairs = [(_integer(i, "pairs") - 1, _integer(j, "pairs") - 1) for i, j in pairs]
         coupling = CouplingSpec(
             omega=_complex_from_dict(raw["omega"]),
             profile=raw["profile"],
@@ -295,7 +304,7 @@ def scenario_from_dict(obj) -> Scenario:
         sweep = SweepGrid(
             float(obj["sweep"]["a_min"]),
             float(obj["sweep"]["a_max"]),
-            int(obj["sweep"]["steps"]),
+            _integer(obj["sweep"]["steps"], "steps"),
         )
         label = str(obj.get("label", ""))
     except ScenarioError:

@@ -67,11 +67,12 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
         pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
         return f'<polyline fill="none" {style} points="{pts}"/>'
 
+    title = result.scenario.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}"'
         ' font-family="Helvetica, Arial, sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{px0}" y="20" font-size="14">{result.scenario.label}</text>',
+        f'<text x="{px0}" y="20" font-size="14">{title}</text>',
         f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" height="{py1 - py0}"'
         ' fill="none" stroke="#444"/>',
     ]

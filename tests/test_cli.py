@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -101,6 +102,52 @@ def test_sweep_block_cut_does_not_change_bytes(tmp_path, monkeypatch):
     assert sweep_outputs(tmp_path) == (files, manifest)
 
 
+def tree_outputs(root):
+    """Every file below root by relative path, manifests without their duration."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = json.loads(data)
+            assert data.pop("duration_seconds") > 0
+        files[path.relative_to(root)] = data
+    return files
+
+
+# each writes below a relative --out; a negative bound needs the = form
+RECORDED = {
+    "sweep fig5": ["sweep", "--preset", "fig5", "--out", "o"],
+    "sweep --grid=": ["sweep", "--preset", "fig1", "--grid=0:1:11", "--out", "o"],
+    "sweep --svg --grid": [
+        "sweep", "--preset", "fig4", "--svg", "--grid", "0:1.5:151", "--out", "o",
+    ],
+    "ep --box=-1:1": [
+        "ep", "--preset", "fig1", "--profile", "constant", "--tune", "gamma_half:2",
+        "--box=-1:1,0.4:0.8", "--out", "o",
+    ],
+    "reproduce": ["reproduce", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED))
+def test_recorded_commands_rerun_to_the_same_files(tmp_path, monkeypatch, case):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    assert main(RECORDED[case]) == 0
+    commands = [json.loads(p.read_text())["command"] for p in sorted(first.rglob("manifest.json"))]
+    if case == "reproduce":
+        figs = [f"fig{k}" for k in range(1, 10)]
+        assert commands == [["sweep", "--preset", f, "--svg", "--out", f"o/{f}"] for f in figs]
+    else:
+        assert commands == [RECORDED[case]]
+    monkeypatch.chdir(second)
+    for command in commands:
+        assert main(command) == 0
+    assert tree_outputs(second) == tree_outputs(first)
+
+
 def test_grid_override(tmp_path):
     out = tmp_path / "g"
     assert main(["sweep", "--preset", "fig1", "--grid", "0:1:11", "--out", str(out)]) == 0
@@ -180,6 +227,39 @@ def write_fig1_variant(path, levels=slice(None), **coupling):
     return write_scenario_json(path, obj)
 
 
+def write_fig1_energy(path, energy):
+    """fig1 as scenario JSON with level 1's energy expression replaced."""
+    obj = scenario_to_dict(preset("fig1"))
+    obj["levels"][0]["e"] = energy
+    return write_scenario_json(path, obj)
+
+
+# nested past the interpreter's recursion limit
+DEEP_ENERGIES = {
+    "3000 parentheses": "(" * 3000 + "a" + ")" * 3000,
+    "3000 minus signs": "-" * 3000 + "a",
+    "3000 powers": "^".join(["a"] * 3000),
+}
+
+
+# (section, field, value): integer fields that int() would truncate or
+# take from a bool
+NON_INTEGERS = {
+    "steps 2.9": ("sweep", "steps", 2.9),
+    "steps true": ("sweep", "steps", True),
+    "steps Infinity": ("sweep", "steps", float("inf")),
+    "pair (1.7, 2)": ("coupling", "pairs", [[1.7, 2]]),
+    "pair (1, 2.9)": ("coupling", "pairs", [[1, 2.9]]),
+}
+
+
+def write_fig1_field(path, section, key, value):
+    """fig1 as scenario JSON with obj[section][key] replaced."""
+    obj = scenario_to_dict(preset("fig1"))
+    obj[section][key] = value
+    return write_scenario_json(path, obj)
+
+
 def input_faults(tmp_path):
     pole = str(write_pole_scenario(tmp_path / "pole.json"))
     nine = scenario_to_dict(preset("fig5"))  # a star: every level couples to the last
@@ -196,6 +276,14 @@ def input_faults(tmp_path):
         tmp_path / "far_selfenergy.json", selfenergy={"3": {"re": 0.1, "im": 0.0}}
     )
     no_levels = write_fig1_variant(tmp_path / "no_levels.json", levels=slice(0), pairs=[])
+    deep = {
+        name: write_fig1_energy(tmp_path / f"deep{k}.json", energy)
+        for k, (name, energy) in enumerate(DEEP_ENERGIES.items())
+    }
+    rounded = {
+        name: write_fig1_field(tmp_path / f"rounded{k}.json", *field)
+        for k, (name, field) in enumerate(NON_INTEGERS.items())
+    }
     fig1_ep = ["ep", "--preset", "fig1", "--tune", "gamma_half:2"]
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -210,10 +298,11 @@ def input_faults(tmp_path):
             "ep", "--preset", "fig1", "--tune", "gamma_half:2", "--box", "0.3:1.0,0.4:0.8",
             "--out", str(a_file),
         ],
-        "reproduce --out file": ["reproduce", "--all", "--out", str(a_file)],
+        "reproduce --out file": ["reproduce", "--out", str(a_file)],
         "sweep --threads 0": ["sweep", "--preset", "fig1", "--threads", "0"],
         "sweep --threads 2": ["sweep", "--preset", "fig1", "--threads", "2"],
-        "reproduce --threads -3": ["reproduce", "--all", "--threads", "-3"],
+        "reproduce --threads -3": ["reproduce", "--threads", "-3"],
+        "reproduce --all": ["reproduce", "--all"],
         "sweep 9 levels": ["sweep", "--scenario", nine],
         "ep 9 levels": ["ep", "--scenario", nine, "--tune", "gamma_half:1", "--box", "0:1,0.4:0.6"],
         "sweep NaN omega": ["sweep", "--scenario", nan_omega],
@@ -228,6 +317,8 @@ def input_faults(tmp_path):
         "ep --box bound not a number": [*fig1_ep, "--box", "0.3:x,0.4:0.8"],
         "sweep --grid NaN bound": ["sweep", "--preset", "fig1", "--grid", "nan:1:11"],
         "sweep no levels": ["sweep", "--scenario", no_levels],
+        **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in deep.items()},
+        **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in rounded.items()},
     }
 
 
@@ -252,6 +343,15 @@ FAULT_MESSAGES = {
     "ep --box bound not a number": "bad --box bound in '0.3:x'",
     "sweep --grid NaN bound": "bad --grid 'nan:1:11': sweep bounds must be finite",
     "sweep no levels": "scenario needs at least one level",
+    "reproduce --all": "unrecognized arguments: --all",
+    "sweep 3000 parentheses": "expression nested too deeply at offset",
+    "sweep 3000 minus signs": "expression nested too deeply at offset",
+    "sweep 3000 powers": "expression nested too deeply at offset",
+    "sweep steps 2.9": "steps: expected an integer, got 2.9",
+    "sweep steps true": "steps: expected an integer, got True",
+    "sweep steps Infinity": "steps: expected an integer, got inf",
+    "sweep pair (1.7, 2)": "pairs: expected an integer, got 1.7",
+    "sweep pair (1, 2.9)": "pairs: expected an integer, got 2.9",
 }
 
 
@@ -334,15 +434,26 @@ def test_scan_failure_names_the_search_point(tmp_path, capsys):
     )
 
 
-def test_module_entry_point_reports_an_input_fault_without_traceback(tmp_path):
+def run_module(argv, cwd=None):
+    """`python -m levelcross argv`, importing the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-m", "levelcross", *input_faults(tmp_path)["sweep pole"]],
-        env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-m", "levelcross", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
     )
+
+
+def test_module_entry_point_reports_an_input_fault_without_traceback(tmp_path):
+    run = run_module(input_faults(tmp_path)["sweep pole"])
     assert run.returncode == 1
     assert run.stderr == "error: division by zero at a=0.0\n"
+
+
+def test_module_entry_point_records_its_command_line(tmp_path):
+    argv = RECORDED["sweep --grid="]
+    assert run_module(argv, cwd=tmp_path).returncode == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["command"] == argv
 
 
 def test_ep_prints_location_and_gap(tmp_path, capsys):
@@ -410,14 +521,21 @@ def test_svg_has_one_polyline_per_branch_plus_dashed_bare(tmp_path):
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
 
 
-def test_reproduce_requires_all(capsys):
-    assert main(["reproduce"]) == 1
-    assert "--all" in capsys.readouterr().err
+def test_svg_escapes_the_scenario_label(tmp_path):
+    obj = scenario_to_dict(preset("fig1"))
+    obj["label"] = "a<b & c]]>"
+    path = write_scenario_json(tmp_path / "label.json", obj)
+    out = tmp_path / "o"
+    args = ["sweep", "--scenario", path, "--grid", "0:1.5:11", "--svg", "--out", str(out)]
+    assert main(args) == 0
+    for name in ("energies.svg", "widths.svg"):
+        texts = ElementTree.parse(out / name).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert next(texts).text == "a<b & c]]>"
 
 
 def test_reproduce_builds_the_figure_tree(tmp_path):
     out = tmp_path / "tree"
-    assert main(["reproduce", "--all", "--out", str(out)]) == 0
+    assert main(["reproduce", "--out", str(out)]) == 0
     dirs = sorted(p.name for p in out.iterdir())
     assert dirs == [f"fig{k}" for k in range(1, 10)]
     for sub in dirs:
