@@ -23,6 +23,7 @@ batch agrees bitwise with its length-1 slices.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -239,11 +240,12 @@ def _complex_to_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _complex_from_dict(obj) -> complex:
+def _complex_from_dict(obj, name: str) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        re, im = obj["re"], obj["im"]
     except (TypeError, KeyError) as err:
         raise ScenarioError(f"expected {{re, im}} pair, got {obj!r}") from err
+    return complex(_real(re, f"{name}.re"), _real(im, f"{name}.im"))
 
 
 def _integer(value, name: str) -> int:
@@ -253,6 +255,16 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{name}: expected an integer, got {value!r}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """A JSON number as a float; float() would take True and "0.05"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:  # a JSON integer beyond the float range
+        raise ScenarioError(f"{name}: {err}") from err
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -282,7 +294,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(obj) -> Scenario:
     try:
         levels = tuple(
-            LevelSpec(parse_expr(item["e"]), float(item["gamma_half"]))
+            LevelSpec(parse_expr(item["e"]), _real(item["gamma_half"], "gamma_half"))
             for item in obj["levels"]
         )
         n = len(levels)
@@ -293,17 +305,17 @@ def scenario_from_dict(obj) -> Scenario:
         else:
             pairs = [(_integer(i, "pairs") - 1, _integer(j, "pairs") - 1) for i, j in pairs]
         coupling = CouplingSpec(
-            omega=_complex_from_dict(raw["omega"]),
+            omega=_complex_from_dict(raw["omega"], "omega"),
             profile=raw["profile"],
             active_pairs=pairs,
             selfenergy={
-                int(k) - 1: _complex_from_dict(v)
+                int(k) - 1: _complex_from_dict(v, "selfenergy")
                 for k, v in raw.get("selfenergy", {}).items()
             },
         )
         sweep = SweepGrid(
-            float(obj["sweep"]["a_min"]),
-            float(obj["sweep"]["a_max"]),
+            _real(obj["sweep"]["a_min"], "a_min"),
+            _real(obj["sweep"]["a_max"], "a_max"),
             _integer(obj["sweep"]["steps"], "steps"),
         )
         label = str(obj.get("label", ""))

@@ -4,6 +4,14 @@ The pair of panels mirrors the usual stacked layout: real energies
 over a on top, half-widths over a below. Solid polylines follow the
 tracked branches; dashed gray polylines show the unperturbed levels.
 No external assets, scripts, or fonts beyond a generic family name.
+
+Points are printed to 0.01 px, so a polyline carries only the grid
+points it needs at that resolution: Douglas-Peucker (Cartographica
+10:112, 1973) in pixel space drops every point that lies within
+TOLERANCE_PX, half the printed quantum, of the segment joining the
+points kept around it. The first and last point of each polyline, and
+every non-finite point with its neighbours, are always kept.
+`trajectories.csv` carries every grid point.
 """
 
 from __future__ import annotations
@@ -21,12 +29,16 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 760, 420
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 148, 34, 46
 
+TOLERANCE_PX = 0.005  # half of the 0.01 px the points are printed to
+
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     """Round tick positions covering [lo, hi] on a 1-2-5 ladder."""
     span = hi - lo
     raw = span / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if 0.0 < raw < math.inf else 0.0
+    if not mag > 0.0:  # the span under- or overflows the 1-2-5 ladder
+        return [lo, hi]
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0):
         if span / (mult * mag) <= target:
@@ -41,10 +53,65 @@ def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
+def _points(px, py) -> str:
+    """The points attribute of a polyline, to 0.01 px."""
+    xy = np.column_stack((px, py))
+    return " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # such a distance is inf or NaN: kept
+def _keep(px, py) -> np.ndarray:
+    """Mask of the points each row of ``py`` (over the shared ``px``) keeps.
+
+    Douglas-Peucker on every row at once: a segment between kept points
+    drops its interior when each interior point lies within TOLERANCE_PX
+    of the segment (not of its infinite line). Otherwise the farthest
+    point, the first on a tie, is kept and both halves go round again;
+    one numpy pass splits every open segment of every row. Non-finite
+    points and their neighbours are kept up front, so each segment has
+    finite ends, and a NaN or infinite distance never drops a point.
+    """
+    px = np.broadcast_to(px, py.shape)
+    bad = ~(np.isfinite(px) & np.isfinite(py))
+    keep = bad.copy()
+    keep[:, 1:] |= bad[:, :-1]
+    keep[:, :-1] |= bad[:, 1:]
+    keep[:, [0, -1]] = True
+    x, y, flat = px.ravel(), py.ravel(), keep.reshape(-1)
+    todo = np.flatnonzero(~flat)
+    while todo.size:
+        # a gap in todo holds a kept point, so each run of todo is one open
+        # segment's interior, between the kept points just outside it
+        first = np.flatnonzero(np.diff(todo, prepend=-2) != 1)
+        size = np.diff(first, append=todo.size)
+        i, j = todo[first] - 1, todo[first + size - 1] + 1
+        seg = np.repeat(np.arange(first.size), size)
+        ax, ay = x[i], y[i]
+        bx, by = x[j] - ax, y[j] - ay
+        length2 = bx * bx + by * by
+        dx, dy = x[todo] - ax[seg], y[todo] - ay[seg]
+        bx, by, length2 = bx[seg], by[seg], length2[seg]
+        t = np.divide(dx * bx + dy * by, length2, out=np.zeros_like(dx), where=length2 > 0)
+        t = np.clip(t, 0.0, 1.0)
+        ex, ey = dx - t * bx, dy - t * by
+        dist = np.sqrt(ex * ex + ey * ey)
+        dist[np.isnan(dist)] = np.inf
+        far = np.maximum.reduceat(dist, first)
+        at_far = np.flatnonzero(dist == far[seg])
+        split = far > TOLERANCE_PX
+        pick = at_far[np.diff(seg[at_far], prepend=-1) != 0][split]
+        flat[todo[pick]] = True
+        still = split[seg]
+        still[pick] = False
+        todo = todo[still]
+    return keep
+
+
+def _axes(result: SweepResult, rows):
+    """Data-to-pixel maps of a panel whose y range covers ``rows``, and that range."""
     a = result.a
     x_lo, x_hi = float(a[0]), float(a[-1])
-    stack = np.concatenate([np.asarray(r, dtype=float) for r in branch_rows + bare_rows])
+    stack = np.concatenate([np.asarray(r, dtype=float) for r in rows])
     finite = stack[np.isfinite(stack)]
     y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi - y_lo < 1e-12:
@@ -62,11 +129,19 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
     def sy(v):
         return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
-    def poly(xs, ys, style):
-        xy = np.column_stack((sx(np.asarray(xs)), sy(np.asarray(ys))))
-        pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
-        return f'<polyline fill="none" {style} points="{pts}"/>'
+    return sx, sy, y_lo, y_hi
 
+
+def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
+    sx, sy, y_lo, y_hi = _axes(result, bare_rows + branch_rows)
+    a = result.a
+    x_lo, x_hi = float(a[0]), float(a[-1])
+    px0, px1 = _LEFT, _WIDTH - _RIGHT
+    py0, py1 = _TOP, _HEIGHT - _BOTTOM
+    px = sx(a)
+    py = sy(np.array(bare_rows + branch_rows, dtype=float))
+    keep = _keep(px, py)
+    points = [_points(px[k], y[k]) for y, k in zip(py, keep)]
     title = result.scenario.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}"'
@@ -97,11 +172,11 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
     )
 
     dashed = 'stroke="#999" stroke-width="1" stroke-dasharray="6 4"'
-    for row in bare_rows:
-        parts.append(poly(a, row, dashed))
-    for k, row in enumerate(branch_rows):
+    for pts in points[: len(bare_rows)]:
+        parts.append(f'<polyline fill="none" {dashed} points="{pts}"/>')
+    for k, pts in enumerate(points[len(bare_rows) :]):
         color = _PALETTE[k % len(_PALETTE)]
-        parts.append(poly(a, row, f'stroke="{color}" stroke-width="1.6"'))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{pts}"/>')
 
     lx, ly = px1 + 12, py0 + 8
     for k in range(len(branch_rows)):

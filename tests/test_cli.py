@@ -13,6 +13,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from levelcross import svgplot
 from levelcross.cli import _write_trajectories_csv, main
 from levelcross.eigensolve import SolverError
 from levelcross.expressions import parse_expr
@@ -242,21 +243,33 @@ DEEP_ENERGIES = {
 }
 
 
-# (section, field, value): integer fields that int() would truncate or
-# take from a bool
-NON_INTEGERS = {
-    "steps 2.9": ("sweep", "steps", 2.9),
-    "steps true": ("sweep", "steps", True),
-    "steps Infinity": ("sweep", "steps", float("inf")),
-    "pair (1.7, 2)": ("coupling", "pairs", [[1.7, 2]]),
-    "pair (1, 2.9)": ("coupling", "pairs", [[1, 2.9]]),
+# (keys, value): integer fields that int() would truncate or take from a
+# bool, and real fields that float() would take from a bool or a string
+BAD_NUMBERS = {
+    "steps 2.9": (("sweep", "steps"), 2.9),
+    "steps true": (("sweep", "steps"), True),
+    "steps Infinity": (("sweep", "steps"), float("inf")),
+    "pair (1.7, 2)": (("coupling", "pairs"), [[1.7, 2]]),
+    "pair (1, 2.9)": (("coupling", "pairs"), [[1, 2.9]]),
+    "gamma_half true": (("levels", 1, "gamma_half"), True),
+    "a_min false": (("sweep", "a_min"), False),
+    "a_max string": (("sweep", "a_max"), "1.5"),
+    "a_max 10^400": (("sweep", "a_max"), 10**400),
+    "omega re string": (("coupling", "omega", "re"), "0.05"),
+    "omega im null": (("coupling", "omega", "im"), None),
+    "selfenergy re true": (("coupling", "selfenergy"), {"1": {"re": True, "im": 0.0}}),
+    "selfenergy im string": (("coupling", "selfenergy"), {"1": {"re": 0.0, "im": "0"}}),
 }
 
 
-def write_fig1_field(path, section, key, value):
-    """fig1 as scenario JSON with obj[section][key] replaced."""
+def write_fig1_field(path, keys, value):
+    """fig1 as scenario JSON with the field that keys lead to replaced."""
     obj = scenario_to_dict(preset("fig1"))
-    obj[section][key] = value
+    *outer, last = keys
+    target = obj
+    for key in outer:
+        target = target[key]
+    target[last] = value
     return write_scenario_json(path, obj)
 
 
@@ -280,9 +293,9 @@ def input_faults(tmp_path):
         name: write_fig1_energy(tmp_path / f"deep{k}.json", energy)
         for k, (name, energy) in enumerate(DEEP_ENERGIES.items())
     }
-    rounded = {
-        name: write_fig1_field(tmp_path / f"rounded{k}.json", *field)
-        for k, (name, field) in enumerate(NON_INTEGERS.items())
+    malformed = {
+        name: write_fig1_field(tmp_path / f"number{k}.json", *field)
+        for k, (name, field) in enumerate(BAD_NUMBERS.items())
     }
     fig1_ep = ["ep", "--preset", "fig1", "--tune", "gamma_half:2"]
     a_file = tmp_path / "a_file"
@@ -318,7 +331,7 @@ def input_faults(tmp_path):
         "sweep --grid NaN bound": ["sweep", "--preset", "fig1", "--grid", "nan:1:11"],
         "sweep no levels": ["sweep", "--scenario", no_levels],
         **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in deep.items()},
-        **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in rounded.items()},
+        **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in malformed.items()},
     }
 
 
@@ -352,6 +365,14 @@ FAULT_MESSAGES = {
     "sweep steps Infinity": "steps: expected an integer, got inf",
     "sweep pair (1.7, 2)": "pairs: expected an integer, got 1.7",
     "sweep pair (1, 2.9)": "pairs: expected an integer, got 2.9",
+    "sweep gamma_half true": "gamma_half: expected a number, got True",
+    "sweep a_min false": "a_min: expected a number, got False",
+    "sweep a_max string": "a_max: expected a number, got '1.5'",
+    "sweep a_max 10^400": "a_max: int too large to convert to float",
+    "sweep omega re string": "omega.re: expected a number, got '0.05'",
+    "sweep omega im null": "omega.im: expected a number, got None",
+    "sweep selfenergy re true": "selfenergy.re: expected a number, got True",
+    "sweep selfenergy im string": "selfenergy.im: expected a number, got '0'",
 }
 
 
@@ -521,6 +542,19 @@ def test_svg_has_one_polyline_per_branch_plus_dashed_bare(tmp_path):
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
 
 
+def test_svg_of_a_span_too_small_for_the_tick_ladder(tmp_path):
+    # span / 5 underflows to 0: the a axis is ticked at its two ends
+    out = tmp_path / "tiny"
+    args = ["sweep", "--preset", "fig1", "--grid", "0:5e-324:2", "--svg", "--out", str(out)]
+    assert main(args) == 0
+    assert (out / "manifest.json").exists()
+    for name in ("energies.svg", "widths.svg"):
+        text = (out / name).read_text()
+        assert text.count("<polyline") == 4
+        assert '<text x="72.00" y="392" text-anchor="middle">0</text>' in text
+        assert '<text x="612.00" y="392" text-anchor="middle">4.9406565e-324</text>' in text
+
+
 def test_svg_escapes_the_scenario_label(tmp_path):
     obj = scenario_to_dict(preset("fig1"))
     obj["label"] = "a<b & c]]>"
@@ -602,11 +636,11 @@ def reference_csv(result) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def reference_points(result, branch_rows, bare_rows) -> list[str]:
-    """points attributes of one panel, bare rows first, one value at a time."""
+def reference_points(result, rows) -> list[list[str]]:
+    """Each polyline's "x,y" pairs, one value at a time, every grid point."""
     a = result.a
     x_lo, x_hi = float(a[0]), float(a[-1])
-    stack = np.concatenate([np.asarray(r, dtype=float) for r in branch_rows + bare_rows])
+    stack = np.concatenate([np.asarray(r, dtype=float) for r in rows])
     finite = stack[np.isfinite(stack)]
     y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi - y_lo < 1e-12:
@@ -622,29 +656,33 @@ def reference_points(result, branch_rows, bare_rows) -> list[str]:
     def sy(v):
         return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
-    return [
-        " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(a, row))
-        for row in bare_rows + branch_rows
-    ]
+    return [[f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(a, row)] for row in rows]
 
 
 def assert_svg_points_match(result):
     bare = result.bare
-    panels = (
+    panels = (  # each panel draws its bare levels first
         (
             energies_svg(result),
-            [t.energy for t in result.trajectories],
-            [bare[:, i].real for i in range(bare.shape[1])],
+            [bare[:, i].real for i in range(bare.shape[1])]
+            + [t.energy for t in result.trajectories],
         ),
         (
             widths_svg(result),
-            [t.gamma_half for t in result.trajectories],
-            [-bare[:, i].imag for i in range(bare.shape[1])],
+            [-bare[:, i].imag for i in range(bare.shape[1])]
+            + [t.gamma_half for t in result.trajectories],
         ),
     )
-    for svg, branch_rows, bare_rows in panels:
+    for svg, rows in panels:
+        want = reference_points(result, rows)
+        sx, sy, _, _ = svgplot._axes(result, rows)
+        px, py = sx(result.a), sy(np.array(rows, dtype=float))
+        # the panel's point formatter, on every value before decimation
+        assert [svgplot._points(px, y) for y in py] == [" ".join(w) for w in want]
+        # each drawn polyline is that reference at the points it keeps
+        kept = svgplot._keep(px, py)
         got = re.findall(r'points="([^"]*)"', svg)
-        assert got == reference_points(result, branch_rows, bare_rows)
+        assert got == [" ".join(w[k] for k in np.flatnonzero(m)) for w, m in zip(want, kept)]
 
 
 def hand_made_result(a, energies, widths, norms, bare):
