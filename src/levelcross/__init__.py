@@ -13,7 +13,6 @@ from .model import (
     Tunable,
     bare_levels,
     build_hamiltonian_batch,
-    level_energies,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -38,7 +37,7 @@ from .sweep import (
     detect_crossings,
     run_sweep,
 )
-from .presets import PRESET_IDS, export_presets, preset
+from .presets import PRESET_IDS, preset
 from .epfinder import EPReport, coalescence_gap, find_ep, probe_norm_blowup
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "Tunable",
     "bare_levels",
     "build_hamiltonian_batch",
-    "level_energies",
     "load_scenario",
     "save_scenario",
     "scenario_from_dict",
@@ -79,7 +77,6 @@ __all__ = [
     "detect_crossings",
     "run_sweep",
     "PRESET_IDS",
-    "export_presets",
     "preset",
     "EPReport",
     "coalescence_gap",

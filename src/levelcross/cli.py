@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -58,6 +57,34 @@ def _add_scenario_flags(sub):
     sub.add_argument("--out", default="out", metavar="DIR", help="output directory")
 
 
+def _converter(form: str, parse):
+    """An argparse type= converter: parse(text), its ValueError (a
+    ScenarioError among them) reported against the expected form."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad {form} {text!r}: {err}") from err
+
+    return convert
+
+
+def _parse_grid(text: str) -> SweepGrid:
+    a_min, a_max, steps = text.split(":")
+    return SweepGrid(float(a_min), float(a_max), int(steps))
+
+
+def _parse_tune(text: str) -> Tunable:
+    kind, level = text.split(":")
+    return Tunable(kind, int(level) - 1)
+
+
+def _parse_box(text: str):
+    (a_lo, a_hi), (t_lo, t_hi) = (side.split(":") for side in text.split(","))
+    return (float(a_lo), float(a_hi)), (float(t_lo), float(t_hi))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="levelcross", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"levelcross {__version__}")
@@ -65,7 +92,12 @@ def _build_parser() -> _Parser:
 
     sweep = commands.add_parser("sweep", help="run a parameter sweep")
     _add_scenario_flags(sweep)
-    sweep.add_argument("--grid", metavar="MIN:MAX:STEPS", help="override the sweep grid")
+    sweep.add_argument(
+        "--grid",
+        type=_converter("MIN:MAX:STEPS", _parse_grid),
+        metavar="MIN:MAX:STEPS",
+        help="override the sweep grid",
+    )
     sweep.add_argument("--svg", action="store_true", help="also write SVG panels")
     sweep.set_defaults(run=cmd_sweep)
 
@@ -74,12 +106,14 @@ def _build_parser() -> _Parser:
     ep.add_argument(
         "--tune",
         required=True,
+        type=_converter("KIND:LEVEL", _parse_tune),
         metavar="KIND:LEVEL",
         help="second search axis, e.g. gamma_half:2 (level is 1-based)",
     )
     ep.add_argument(
         "--box",
         required=True,
+        type=_converter("ALO:AHI,TLO:THI", _parse_box),
         metavar="ALO:AHI,TLO:THI",
         help="search rectangle in (a, tunable); write a negative first bound as --box=-1:1,0:1",
     )
@@ -89,49 +123,6 @@ def _build_parser() -> _Parser:
     rep.add_argument("--out", default="out", metavar="DIR")
     rep.set_defaults(run=cmd_reproduce)
     return parser
-
-
-def _parse_grid(text: str) -> SweepGrid:
-    bits = text.split(":")
-    if len(bits) != 3:
-        raise _UsageError(f"--grid expects MIN:MAX:STEPS, got {text!r}")
-    try:
-        grid = SweepGrid(float(bits[0]), float(bits[1]), int(bits[2]))
-    except (ValueError, ScenarioError) as err:
-        raise _UsageError(f"bad --grid {text!r}: {err}") from err
-    return grid
-
-
-def _parse_tune(text: str) -> Tunable:
-    kind, _, raw = text.partition(":")
-    try:
-        level = int(raw)
-    except ValueError as err:
-        raise _UsageError(f"--tune expects KIND:LEVEL, got {text!r}") from err
-    if level < 1:
-        raise _UsageError("--tune level is 1-based")
-    return Tunable(kind, level - 1)
-
-
-def _parse_box(text: str):
-    sides = text.split(",")
-    if len(sides) != 2:
-        raise _UsageError(f"--box expects ALO:AHI,TLO:THI, got {text!r}")
-    box = []
-    for side in sides:
-        bits = side.split(":")
-        if len(bits) != 2:
-            raise _UsageError(f"--box expects ALO:AHI,TLO:THI, got {text!r}")
-        try:
-            lo, hi = float(bits[0]), float(bits[1])
-        except ValueError as err:
-            raise _UsageError(f"bad --box bound in {side!r}") from err
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise _UsageError("--box bounds must be finite")
-        if not hi > lo:
-            raise _UsageError(f"empty --box side {side!r}")
-        box.append((lo, hi))
-    return tuple(box)
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -144,7 +135,7 @@ def _resolve_scenario(args) -> Scenario:
             raise ScenarioError("--profile only applies to presets fig1, fig2, fig3")
         scenario = with_profile(scenario, args.profile)
     if getattr(args, "grid", None):
-        scenario = replace(scenario, sweep=_parse_grid(args.grid))
+        scenario = replace(scenario, sweep=args.grid)
     return scenario
 
 
@@ -245,8 +236,7 @@ def cmd_sweep(args) -> int:
 def cmd_ep(args) -> int:
     started = time.perf_counter()
     scenario = _resolve_scenario(args)
-    tunable = _parse_tune(args.tune)
-    box = _parse_box(args.box)
+    tunable, box = args.tune, args.box  # parsed; find_ep checks the box
     report = find_ep(scenario, tunable, box)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -109,7 +109,8 @@ def find_ep(
 ) -> EPReport:
     """Locate a two-fold eigenvalue coalescence inside the box.
 
-    box is ((a_lo, a_hi), (t_lo, t_hi)) with t the tunable's range.
+    box is ((a_lo, a_hi), (t_lo, t_hi)) with t the tunable's range; a
+    side needs finite bounds and span and lo < hi, else ScenarioError.
     Stage one scans an inclusive SCAN_POINTS^2 grid; cells within
     SCAN_TIE_RTOL of the best gap tie, broken by distance to the box
     centre (each axis measured in box widths), then by scan order.
@@ -125,13 +126,13 @@ def find_ep(
     Jacobian is singular, the best point seen is still reported.
     Deterministic for fixed inputs.
     """
-    (a_lo, a_hi), (t_lo, t_hi) = box
-    lo = np.array([a_lo, t_lo], dtype=float)
-    hi = np.array([a_hi, t_hi], dtype=float)
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError("search box must be finite")
+    lo, hi = np.array(box, dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore"):  # a span of inf or nan is rejected below
+        span = hi - lo
+    if not np.isfinite([lo, hi, span]).all():
+        raise ScenarioError(f"search box bounds and their span must be finite, got {box!r}")
     if not (hi > lo).all():
-        raise ValueError("degenerate search box: both sides need positive extent")
+        raise ScenarioError(f"degenerate search box: a side is empty, got {box!r}")
     if scenario.n < 2:
         raise ScenarioError("exceptional point search needs at least two levels")
 

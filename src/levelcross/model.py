@@ -42,7 +42,6 @@ __all__ = [
     "PROFILES",
     "bare_levels",
     "build_hamiltonian_batch",
-    "level_energies",
     "scenario_to_dict",
     "scenario_from_dict",
     "save_scenario",
@@ -65,9 +64,6 @@ class LevelSpec:
     def __post_init__(self):
         if not np.isfinite(self.half_width) or self.half_width < 0:
             raise ScenarioError(f"half_width must be >= 0, got {self.half_width!r}")
-
-    def energy(self, a):
-        return eval_expr(self.energy_expr, a)
 
 
 def _normalize_pairs(pairs) -> frozenset:
@@ -109,8 +105,9 @@ class SweepGrid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.a_min) and np.isfinite(self.a_max)):
-            raise ScenarioError("sweep bounds must be finite")
+        span = float(self.a_max) - float(self.a_min)  # a Python float overflows without a warning
+        if not np.isfinite([self.a_min, self.a_max, span]).all():
+            raise ScenarioError("sweep bounds and their span must be finite")
         if not self.a_min < self.a_max:
             raise ScenarioError(f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
         if self.steps < 2:
@@ -145,9 +142,6 @@ class Scenario:
     def n(self) -> int:
         return len(self.levels)
 
-    def half_widths(self) -> np.ndarray:
-        return np.array([lv.half_width for lv in self.levels])
-
 
 @dataclass(frozen=True)
 class Tunable:
@@ -164,19 +158,14 @@ class Tunable:
             raise ScenarioError(f"tunable level must be >= 1, got {self.level + 1}")
 
 
-def level_energies(scenario: Scenario, a) -> np.ndarray:
-    """Unperturbed e_i(a) for all levels; shape (m, N) for m parameter values."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return np.stack([lv.energy(a) for lv in scenario.levels], axis=1)
-
-
 def _pair_coupling(scenario: Scenario, i: int, j: int, energies: np.ndarray):
     # energies: (m, N) precomputed level trajectories
     omega = scenario.coupling.omega
     profile = scenario.coupling.profile
     if profile == "constant":
         return np.full(energies.shape[0], omega)
-    g = np.exp(-((energies[:, i] - energies[:, j]) ** 2))
+    with np.errstate(over="ignore"):  # levels beyond ~1e154 apart: exp(-inf) = 0 is exact
+        g = np.exp(-((energies[:, i] - energies[:, j]) ** 2))
     if profile == "gaussian":
         return omega * g
     return omega * (energies[:, min(i, j)] * g)
@@ -194,8 +183,8 @@ def bare_levels(
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     n = scenario.n
-    energies = level_energies(scenario, a)
-    gamma = np.broadcast_to(scenario.half_widths(), (a.size, n)).copy()
+    energies = np.stack([eval_expr(lv.energy_expr, a) for lv in scenario.levels], axis=1)
+    gamma = np.broadcast_to([lv.half_width for lv in scenario.levels], (a.size, n)).copy()
     if tunable is not None:
         if value is None:
             raise ScenarioError("tunable override needs a value")

@@ -30,11 +30,10 @@ at the window edges.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 from .model import Scenario, ScenarioError, load_scenario
 
-__all__ = ["PRESET_IDS", "export_presets", "preset"]
+__all__ = ["PRESET_IDS", "preset"]
 
 _FILES = resources.files(__package__) / "scenarios"
 
@@ -51,14 +50,3 @@ def preset(preset_id: str) -> Scenario:
     with resources.as_file(_FILES / f"{preset_id}.json") as path:
         return load_scenario(path)
 
-
-def export_presets(directory) -> list[Path]:
-    """Copy every preset file to <id>.json under directory; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for preset_id in PRESET_IDS:
-        path = directory / f"{preset_id}.json"
-        path.write_bytes((_FILES / f"{preset_id}.json").read_bytes())
-        paths.append(path)
-    return paths

@@ -328,7 +328,9 @@ def input_faults(tmp_path):
         ],
         "ep --box side not LO:HI": [*fig1_ep, "--box", "0.3:1.0,0.4"],
         "ep --box bound not a number": [*fig1_ep, "--box", "0.3:x,0.4:0.8"],
+        "ep --box span overflows": [*fig1_ep, "--box=-1e308:1e308,0.4:0.8"],
         "sweep --grid NaN bound": ["sweep", "--preset", "fig1", "--grid", "nan:1:11"],
+        "sweep --grid span overflows": ["sweep", "--preset", "fig1", "--grid=-1e308:1e308:3"],
         "sweep no levels": ["sweep", "--scenario", no_levels],
         **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in deep.items()},
         **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in malformed.items()},
@@ -352,9 +354,21 @@ FAULT_MESSAGES = {
     "sweep pair (2, 2)": "coupling pair (2, 2) couples a level to itself",
     "sweep selfenergy 3 of 2 levels": "selfenergy index 3 out of range for 2 levels",
     "ep --tune level 5 of 2": "tunable level 5 out of range for 2 levels",
-    "ep --box side not LO:HI": "--box expects ALO:AHI,TLO:THI, got '0.3:1.0,0.4'",
-    "ep --box bound not a number": "bad --box bound in '0.3:x'",
-    "sweep --grid NaN bound": "bad --grid 'nan:1:11': sweep bounds must be finite",
+    "ep --box side not LO:HI": "argument --box: bad ALO:AHI,TLO:THI '0.3:1.0,0.4': ",
+    "ep --box bound not a number": (
+        "argument --box: bad ALO:AHI,TLO:THI '0.3:x,0.4:0.8': "
+        "could not convert string to float: 'x'"
+    ),
+    "ep --box span overflows": (
+        "search box bounds and their span must be finite, got ((-1e+308, 1e+308), (0.4, 0.8))"
+    ),
+    "sweep --grid NaN bound": (
+        "argument --grid: bad MIN:MAX:STEPS 'nan:1:11': sweep bounds and their span must be finite"
+    ),
+    "sweep --grid span overflows": (
+        "argument --grid: bad MIN:MAX:STEPS '-1e308:1e308:3': "
+        "sweep bounds and their span must be finite"
+    ),
     "sweep no levels": "scenario needs at least one level",
     "reproduce --all": "unrecognized arguments: --all",
     "sweep 3000 parentheses": "expression nested too deeply at offset",
@@ -382,6 +396,7 @@ def test_input_faults_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, c
     assert main(input_faults(tmp_path)[case]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert FAULT_MESSAGES[case] in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
@@ -445,14 +460,29 @@ def test_spectra_beyond_the_solver_range_exit_2_naming_the_point(tmp_path, capsy
 
 
 def test_scan_failure_names_the_search_point(tmp_path, capsys):
-    # five equal uncoupled levels: the root iteration fails on the scan
-    path = write_levels_scenario(tmp_path / "five.json", ["a"] * 5, pairs=[])
+    # level 1 peaks at 1e160 on the scan line a = 0.692 (scan row 28 of 51)
+    # and stays below 1e150 on the others: p overflows at the roots there
+    window = ["1e160/(1 + 1e14*(a - 0.692)^2)", "a"]
+    path = write_levels_scenario(tmp_path / "window.json", window)
     args = ["ep", "--scenario", path, "--tune", "gamma_half:2", "--box", "0.3:1.0,0.4:0.8"]
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: eigensolver failed at search point (a, value)=(0.986, 0.504): "
-        "root iteration did not converge (batch index 2512, "
+    assert capsys.readouterr().err == (
+        "error: eigensolver failed at search point (a, value)=(0.692, 0.4): "
+        "root iteration did not converge (batch index 1428, residual inf)\n"
     )
+
+
+def test_levels_too_far_apart_for_the_gaussian_give_one_error_line(tmp_path):
+    # (e_1 - e_2)^2 overflows; its exact limit exp(-inf) = 0 is the coupling,
+    # and the solver failure that follows is the only line on stderr
+    path = write_fig1_energy(tmp_path / "far.json", "1e155")
+    run = run_module(["sweep", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert run.returncode == 2
+    assert run.stderr == (
+        "error: eigensolver failed at grid point a=0.0: "
+        "root iteration did not converge (batch index 0, residual inf)\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def run_module(argv, cwd=None):

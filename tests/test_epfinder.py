@@ -15,6 +15,7 @@ from levelcross.eigensolve import (
     solve_spectrum_batch,
 )
 from levelcross.epfinder import (
+    MAX_REFINE_ITER,
     PROBE_MAX_DOUBLINGS,
     PROBE_SCALE,
     SCAN_POINTS,
@@ -181,13 +182,23 @@ def test_empty_box_stops_once_newton_settles(eigen_calls):
     assert report.gap == pytest.approx(np.sqrt(0.3125), rel=1e-5)
 
 
-def test_stall_stop_spares_a_search_that_wanders_before_converging(eigen_calls):
+def test_stall_stop_spares_a_search_that_wanders_before_converging(monkeypatch):
     # from the scan cell the gap rises and falls for several steps
     # before Newton closes in on this EP
+    gaps = []  # the scan's best gap, then the gap at each Newton point
+
+    def recording(h):
+        values = eigenvalues_batch(h)
+        gap = np.abs(epfinder._closest_pair(values)[0])
+        gaps.append(gap.min() if len(h) == SCAN_POINTS**2 else gap[0])
+        return values
+
+    monkeypatch.setattr("levelcross.epfinder.eigenvalues_batch", recording)
     sc, tune = preset("fig4"), Tunable("gamma_half", 0)
     report = find_ep(sc, tune, BOX)
     assert report.converged
-    assert len(eigen_calls) - 1 == 12
+    assert max(gaps[1:]) > gaps[0]
+    assert len(gaps) - 1 <= MAX_REFINE_ITER
     a, t = report.location
     values = np.linalg.eigvals(build_hamiltonian_batch(sc, [a], tunable=tune, value=t)[0])
     iu, ju = np.triu_indices(4, 1)
@@ -196,10 +207,12 @@ def test_stall_stop_spares_a_search_that_wanders_before_converging(eigen_calls):
 
 def test_degenerate_box_rejected():
     sc = two_level_constant()
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ScenarioError, match="degenerate"):
         find_ep(sc, TUNE_G2, ((0.5, 0.5), (0.4, 0.8)))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ScenarioError, match="finite"):
         find_ep(sc, TUNE_G2, ((0.3, np.inf), (0.4, 0.8)))
+    with pytest.raises(ScenarioError, match="span must be finite"):
+        find_ep(sc, TUNE_G2, ((-1e308, 1e308), (0.4, 0.8)))
 
 
 @pytest.mark.parametrize(
@@ -322,13 +335,29 @@ def test_batched_probes_equal_the_per_probe_loop(name, monkeypatch):
         assert report.norm_blowup == per_probe_norm_blowup(sc, tune, *located[0])
         assert located[0][1] == tuple(PROBE_SCALE * (hi - lo) for lo, hi in box)
         return
-    # fig5's probes hit a solver fault; both name the same probe point
+    # on fig5 a stub fails the probe (a, t + ht), third of the four, and
+    # solves every other matrix as a clean diagonal: both paths meet that
+    # failure by construction and name the same probe point
+    def fail_one_probe(h):
+        (xa, xt), (_, ht) = located[0]
+        failing = build_hamiltonian_batch(sc, [xa], tunable=tune, value=xt + ht)[0]
+        hit = np.flatnonzero((h == failing).all(axis=(1, 2)))
+        if hit.size:
+            raise BiorthogonalityError(int(hit[0]), 1.058e-08)
+        return solve_spectrum_batch(np.diag(np.arange(1.0, h.shape[1] + 1)) + 0j * h)
+
+    monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", fail_one_probe)
     with pytest.raises(SolverError) as batched:
         find_ep(sc, tune, box)
     with pytest.raises(SolverError) as per_probe:
         per_probe_norm_blowup(sc, tune, *located[0])
-    point = re.search(r"probe point \(a, value\)=\([^)]*\)", str(per_probe.value)).group()
-    assert point in str(batched.value)
+    (xa, xt), (_, ht) = located[0]
+    point = f"probe point (a, value)=({xa!r}, {xt + ht!r})"
+    assert str(per_probe.value) == point
+    assert str(batched.value) == (
+        f"eigensolver failed at {point}: bilinear overlap 1.058e-08 for "
+        "well-separated eigenpairs (batch index 2)"
+    )
 
 
 def test_batched_probes_double_only_the_defective_ones(monkeypatch):

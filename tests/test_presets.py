@@ -17,7 +17,7 @@ from levelcross.model import (
     save_scenario,
     scenario_to_dict,
 )
-from levelcross.presets import PRESET_IDS, export_presets, preset
+from levelcross.presets import PRESET_IDS, preset
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGED = Path(levelcross.__file__).resolve().parent / "scenarios"
@@ -92,7 +92,7 @@ def test_round_trip_is_exact(tmp_path):
     for pid in PRESET_IDS:
         sc = preset(pid)
         path = tmp_path / f"{pid}.json"
-        export_presets(tmp_path)
+        save_scenario(sc, path)
         loaded = load_scenario(path)
         assert scenario_to_dict(loaded) == scenario_to_dict(sc)
         assert loaded.coupling == sc.coupling
@@ -103,15 +103,16 @@ def test_round_trip_is_exact(tmp_path):
 
 
 def test_packaged_files_are_canonical(tmp_path):
-    # each file is in the form save_scenario writes, and the export copies it
+    # each file is in the form save_scenario writes, so saving a preset
+    # writes the shipped bytes
     assert (ROOT / "scenarios").resolve() == PACKAGED
-    exported = {p.name: p.read_bytes() for p in export_presets(tmp_path / "export")}
     for pid in PRESET_IDS:
         packaged = PACKAGED / f"{pid}.json"
         saved = tmp_path / f"{pid}.json"
         save_scenario(load_scenario(packaged), saved)
         assert saved.read_bytes() == packaged.read_bytes(), pid
-        assert exported[f"{pid}.json"] == packaged.read_bytes(), pid
+        save_scenario(preset(pid), saved)
+        assert saved.read_bytes() == packaged.read_bytes(), pid
 
 
 def test_built_package_ships_every_preset(tmp_path):

@@ -299,35 +299,48 @@ def test_biorthogonality_error_names_the_grid_point(monkeypatch):
         run_sweep(sc)
 
 
-def star6():
-    """fig5 widened to six levels (`star_spec(6, 2001)` of
-    test_eigensolve.py); its check fails at grid points 879, 882 and 1092."""
-    return scenario(
-        [f"{1 + 0.05 * k!r} - a/2" for k in range(5)] + ["a"],
-        [0.5] * 6,
-        omega=0.05 + 0.05j,
-        profile="gaussian",
-        pairs=[(k, 5) for k in range(5)],
-        grid=(-0.5, 2.0, 2001),
-    )
+def overflow_window():
+    """Level 1 peaks at 1e160 around a = 0.7: the root iteration fails on
+    grid points 4513 to 4819 of 10^4, with residual inf on 4520 to 4813,
+    where the characteristic polynomial overflows at the roots."""
+    return scenario(["1e160/(1 + 2e9*(a - 0.7)^2)", "a"], [0.5, 0.5], grid=(0.0, 1.5, 10**4))
 
 
-FAILED_CHECK = (
-    "eigensolver failed at grid point a={}: bilinear overlap {} for "
-    "well-separated eigenpairs (batch index {})"
-)
+STUB_OVERLAPS = {879: 1.0e-08, 882: 1.1e-08, 1092: 1.168e-08}
+
+
+def fail_at_stub_points(monkeypatch):
+    """A fig1-like sweep over [-0.5, 2] whose solver fails the check at
+    grid points 879, 882 and 1092, each block naming its worst point."""
+    sc = scenario(["1 - a/2", "a"], [0.5, 0.5], omega=0.05, grid=(-0.5, 2.0, 2001))
+    overlaps = {sc.sweep.points()[k]: v for k, v in STUB_OVERLAPS.items()}
+
+    def stub(h):  # h[:, 1, 1].real is the grid point a
+        found = [(overlaps[a], k) for k, a in enumerate(h[:, 1, 1].real) if a in overlaps]
+        if found:
+            raise BiorthogonalityError(max(found)[1], max(found)[0])
+        return solve_spectrum_batch(h)
+
+    monkeypatch.setattr("levelcross.sweep.solve_spectrum_batch", stub)
+    return sc
 
 
 @pytest.mark.parametrize("block", [None, 256, 16])
-@pytest.mark.parametrize("case", ["star6", "twin at 10^4 points"])
+@pytest.mark.parametrize("case", ["overflow window", "stub overlaps"])
 def test_failure_message_does_not_depend_on_blocks(monkeypatch, case, block):
     # the message one solve of the whole grid gives; with 256-row blocks
-    # star6 fails in blocks 3 and 4 and the twin in block 17
-    if case == "star6":
-        sc, want = star6(), FAILED_CHECK.format(0.865, "1.168e-08", 1092)
+    # the window fails in blocks 17 and 18, where the first inf residual
+    # counts, and the stub in blocks 3 and 4, where block 4 holds the worst
+    if case == "overflow window":
+        sc, want = overflow_window(), (
+            "eigensolver failed at grid point a=0.6780678067806781: root iteration did not "
+            "converge (batch index 4520, residual inf)"
+        )
     else:
-        sc = replace(twin_fig1(), sweep=SweepGrid(0.0, 1.5, 10**4))
-        want = FAILED_CHECK.format(0.6666666666666667, "1.732e-08", 4444)
+        sc, want = fail_at_stub_points(monkeypatch), (
+            "eigensolver failed at grid point a=0.865: bilinear overlap 1.168e-08 for "
+            "well-separated eigenpairs (batch index 1092)"
+        )
     if block:
         monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)
     with pytest.raises(SolverError) as info:
