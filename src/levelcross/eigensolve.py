@@ -22,14 +22,16 @@ otherwise the pair is kept as iterated. Without the snap, every
 eigenvalue gap at an exact coalescence would float at the sqrt(eps)
 noise level and coalescence could never be detected cleanly.
 
-Exactly degenerate eigenvalues are a run of equal values in the sorted
-row (the snap makes a double pair bit-equal), and the elimination of
-H - lambda I at the run's last member serves them all. With two or more
-pivots below TINY_PIVOT_FACTOR * eps * max(max|H|, 1) the run is a true
-crossing: its r-th member takes the r-th smallest pivot (stable order)
-as free column, holds the other tiny columns at 0 and is bilinearly
-orthogonalized against the earlier members; otherwise the members keep
-one shared direction, flagged defective downstream. A failure names its
+Every eigenvalue takes its null vector from its own elimination of
+H - lambda I, free in the column of the smallest pivot. Exactly
+degenerate eigenvalues are a run of equal values in the sorted row (the
+snap makes a double pair bit-equal), so each member's elimination is the
+same. With two or more pivots below TINY_PIVOT_FACTOR * eps * max(max|H|, 1)
+the run is a true crossing: its r-th member takes the r-th smallest
+pivot (stable order) as free column, holds the other tiny columns at 0
+and is bilinearly orthogonalized against the r members before it;
+otherwise the members keep one shared direction, flagged defective
+downstream. A failure names its
 batch index. Sweeps and EP searches solve through `solve_at`, which cuts
 the stack into blocks of SOLVE_BLOCK rows and turns the index into the
 caller's point.
@@ -300,20 +302,18 @@ def _eliminate(amat: np.ndarray):
     return a, np.abs(np.diagonal(a, axis1=1, axis2=2))
 
 
-def _back_substitute(u: np.ndarray, free: np.ndarray, held=None) -> np.ndarray:
+def _back_substitute(u: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.ndarray:
     """Solve u x = 0 with x[free] = 1 and every entry past free 0.
 
-    held (m, n), optional, marks columns kept at 0 rather than solved for:
-    the other null directions of a degenerate eigenvalue.
+    held (m, n) marks columns kept at 0 rather than solved for: the other
+    null directions of a true crossing.
     """
     m, n = u.shape[0], u.shape[1]
     x = np.zeros((m, n), dtype=complex)
     x[np.arange(m), free] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 2, -1, -1):
-            active = i < free
-            if held is not None:
-                active &= ~held[:, i]
+            active = (i < free) & ~held[:, i]
             if not active.any():
                 continue
             partial = -(u[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
@@ -322,26 +322,6 @@ def _back_substitute(u: np.ndarray, free: np.ndarray, held=None) -> np.ndarray:
             xi = np.where(head == 0, 0.0, xi)
             x[:, i] = np.where(active, xi, x[:, i])
     return x
-
-
-def _group_vectors(u, pivots, tiny, group):
-    """Null vectors of the members of degenerate groups (k, n), from the
-    leader's elimination u and pivots; (k, n, n), member j's at index j."""
-    k, n = group.shape
-    order = np.argsort(pivots, axis=1, kind="stable")
-    members = np.argsort(~group, axis=1, kind="stable")
-    out = np.zeros((k, n, n), dtype=complex)
-    basis = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(group.sum(axis=1).max(initial=0)):
-            v = _back_substitute(u, order[:, r], tiny)
-            for b in basis:
-                bb = (b * b).sum(axis=1)
-                keep = np.abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum(axis=1)
-                v = np.where(keep[:, None], v - ((v * b).sum(axis=1) / bb)[:, None] * b, v)
-            basis.append(v)
-            out[np.arange(k), members[:, r]] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +393,30 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     m, n = h.shape[0], h.shape[1]
     values = eigenvalues_batch(h)
 
-    gap = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
-    # same[:, i]: values i - 1 and i are equal; a run ends at i where i + 1 is not
+    # same[:, i]: values i - 1 and i are equal; rank: the place of i in its run
     same = np.zeros((m, n + 1), dtype=bool)
     same[:, 1:n] = values[:, 1:] == values[:, :-1]
+    rank = np.arange(n) - np.maximum.accumulate(np.where(same[:, :n], 0, np.arange(n)), axis=1)
+    limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h).max(axis=(1, 2)), 1.0)
 
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
     for i in range(n):
-        # the free column of each null vector is its smallest pivot
         u, pivots = _eliminate(h - values[:, i, None, None] * eye)
-        vectors[:, i, :] = _back_substitute(u, np.argmin(pivots, axis=1))
-        rows = np.flatnonzero(same[:, i] & ~same[:, i + 1])
-        if rows.size:  # the true crossings among the runs that end at i (module docstring)
-            limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h[rows]).max(axis=(1, 2)), 1.0)
-            tiny = pivots[rows] <= limit[:, None]
-            crossing = tiny.sum(axis=1) >= 2
-            rows, tiny = rows[crossing], tiny[crossing]
-            group = values[rows] == values[rows, i, None]
-            fixed = _group_vectors(u[rows], pivots[rows], tiny, group)
-            vectors[rows] = np.where(group[:, :, None], fixed, vectors[rows])
+        # a true crossing (module docstring): a run with two or more tiny pivots
+        tiny = pivots <= limit[:, None]
+        crossing = (same[:, i] | same[:, i + 1]) & (tiny.sum(axis=1) >= 2)
+        r = np.where(crossing, rank[:, i], 0)
+        free = np.argsort(pivots, axis=1, kind="stable")[np.arange(m), r]
+        v = _back_substitute(u, free, tiny & crossing[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(r.max(initial=0)):  # against the members before, in order
+                rows = np.flatnonzero(t < r)
+                b, w = vectors[rows, i - r[rows] + t], v[rows]
+                bb = (b * b).sum(axis=1)
+                keep = np.abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum(axis=1)
+                v[rows] = np.where(keep[:, None], w - ((w * b).sum(axis=1) / bb)[:, None] * b, w)
+        vectors[:, i, :] = v
 
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
@@ -445,8 +429,8 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
 
     overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
-    overlap[:, np.arange(n), np.arange(n)] = 0.0
     regular = ~defective
+    gap = np.abs(values[:, :, None] - values[:, None, :])  # 0 on the diagonal: i = j unchecked
     checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
     worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
     k = int(np.argmax(worst))

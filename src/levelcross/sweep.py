@@ -38,6 +38,9 @@ __all__ = [
 
 CROSSING_TOL = 1e-6      # |E_i - E_j| below this counts as an energy crossing
 MATCH_TIE_TOL = 1e-12    # overlap objectives within this are tied
+# scores per (steps, n!) array of the matcher: 8 MB at any n, where one
+# gather of a whole 8-level stack takes 2.6 MB per step (5 GB at 2001)
+MATCH_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -49,14 +52,22 @@ def _best_assignment(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     """Per matrix of a (k, n, n) stack, the permutation pi maximizing
     sum_i score[i, pi(i)], enumerated exactly; near-ties (within
     MATCH_TIE_TOL) go to the minimal sum of tiebreak, then to the first
-    permutation in lexicographic order. Returns (k, n)."""
+    permutation in lexicographic order. Returns (k, n).
+
+    The stack is scored MATCH_BLOCK scores at a time, so memory stays
+    bounded at every n and length."""
     perms = _permutations(score.shape[-1])
-    rows = np.arange(score.shape[-1])[:, None]
-    totals = score[:, rows, perms.T].sum(axis=1)                # (k, P)
-    ties = tiebreak[:, rows, perms.T].sum(axis=1)
-    cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
-    penalty = np.where(cand, ties, np.inf)
-    return perms[np.argmin(penalty, axis=1)]
+    step = max(1, MATCH_BLOCK // len(perms))
+    best = []
+    for lo in range(0, max(len(score), 1), step):
+        s, t = score[lo : lo + step], tiebreak[lo : lo + step]
+        totals, ties = s[:, 0, perms[:, 0]], t[:, 0, perms[:, 0]]  # (step, P)
+        for i in range(1, perms.shape[1]):  # row by row from 0, as .sum(axis=1) adds
+            totals += s[:, i, perms[:, i]]
+            ties += t[:, i, perms[:, i]]
+        cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
+        best.append(perms[np.argmin(np.where(cand, ties, np.inf), axis=1)])
+    return np.concatenate(best)
 
 
 def _step_permutations(batch: SpectrumBatch) -> np.ndarray:

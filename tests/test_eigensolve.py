@@ -489,11 +489,11 @@ def roots_snapped(h, doubled):
 
 
 def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
-    forced = []
+    members = []  # per call, the crossing members: rows that hold a column at 0
     original = es._back_substitute
 
-    def counting(u, free, held=None):
-        forced.append(held is not None)
+    def counting(u, free, held):
+        members.append(int(held.any(axis=1).sum()))
         return original(u, free, held)
 
     monkeypatch.setattr(es, "_back_substitute", counting)
@@ -512,7 +512,7 @@ def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
             repaired += 1
             assert not batch.defective[0, [i, j]].any(), index
             assert abs(vectors[i] @ vectors[j]) < BIORTH_TOL, index
-    assert sum(forced) > 600
+    assert sum(members) > 600
     assert repaired > 300
 
 
@@ -556,7 +556,8 @@ def reference_spectrum(h):
     eye = np.eye(n, dtype=complex)
     for i in range(n):
         u, pivots = es._eliminate(h - values[:, i, None, None] * eye)
-        vectors[:, i, :] = es._back_substitute(u, np.argmin(pivots, axis=1))
+        free = np.argmin(pivots, axis=1)
+        vectors[:, i, :] = es._back_substitute(u, free, np.zeros(pivots.shape, dtype=bool))
     gap = np.abs(values[:, :, None] - values[:, None, :])
     idx = np.arange(n)
     gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)

@@ -163,3 +163,10 @@ def test_roundtrip_caption_forms():
     for text in ["1 - a/2", "1.05 - a/2", "1.1 - a/2", "a", "1 - 1/(a+1)", "0.05 + a"]:
         tree = parse_expr(text)
         assert parse_expr(to_text(tree)) == tree
+
+
+def test_roundtrip_parenthesized_power_exponent():
+    # a sum in the exponent binds looser than ^, so it keeps its parentheses
+    tree = parse_expr("2^(a+1)")
+    assert to_text(tree) == "2.0^(a + 1.0)"
+    assert parse_expr(to_text(tree)) == tree

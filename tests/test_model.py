@@ -245,6 +245,15 @@ def test_float_fidelity_through_json_text():
     assert scenario_from_dict(obj) == sc
 
 
+def test_whole_float_steps_sweep_that_many_points():
+    # JSON writers may print an integer as 101.0; it is still 101 steps
+    obj = scenario_to_dict(two_level())
+    obj["sweep"]["steps"] = 101.0
+    sc = scenario_from_dict(obj)
+    assert type(sc.sweep.steps) is int
+    assert len(sc.sweep.points()) == 101
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

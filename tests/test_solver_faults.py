@@ -74,3 +74,35 @@ def test_every_clustered_spectrum_solves():
 @solver_fault("FOUND a three-fold true crossing at a grid point fails its biorthogonality check")
 def test_three_fold_crossing_solves():
     run_sweep(scenario(["1 - a", "a", "0.5"], [0.5] * 3, pairs=[], grid=(0.0, 1.0, 101)))
+
+
+def ladder_spec(order, omega):
+    """`order` levels e_k = (k - (order-1)/2) + a/(k+2) with half-widths
+    0.1 (k+1), all pairs coupled by a real omega, gaussian profile."""
+    levels = [
+        {"e": f"{k - (order - 1) / 2!r} + a/{k + 2}", "gamma_half": 0.1 * (k + 1)}
+        for k in range(order)
+    ]
+    return {
+        "label": f"ladder{order}",
+        "levels": levels,
+        "coupling": {
+            "omega": {"re": omega, "im": 0.0},
+            "profile": "gaussian",
+            "pairs": "all",
+            "selfenergy": {},
+        },
+        "sweep": {"a_min": 0.0, "a_max": 1.0, "steps": 51},
+    }
+
+
+@pytest.mark.parametrize("order, omega", [(4, 1e-6), (7, 1e-2)])
+@solver_fault(
+    "FOUND on weakly coupled ladders the smallest pivot of the row-pivoted elimination "
+    "does not mark the null column: right values, a wrong vector"
+)
+def test_weakly_coupled_ladder_vectors_are_biorthogonal(order, omega):
+    result = run_sweep(scenario_from_dict(ladder_spec(order, omega)))
+    vectors = np.stack([t.vectors for t in result.trajectories], axis=1)
+    overlap = np.einsum("mik,mjk->mij", vectors, vectors)
+    assert np.abs(overlap - np.eye(order)).max() <= 1e-12

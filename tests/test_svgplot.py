@@ -1,13 +1,14 @@
 """Polyline decimation: every dropped point lies within the tolerance of the drawn line."""
 
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levelcross import svgplot
-from levelcross.model import SweepGrid
+from levelcross.model import SweepGrid, with_profile
 from levelcross.presets import PRESET_IDS, preset
 from levelcross.sweep import run_sweep
 
@@ -151,3 +152,29 @@ def test_non_finite_points_and_their_neighbours_are_kept():
         want |= {lo + k for k in reference_keep(px[lo : hi + 1], py[0, lo : hi + 1])}
     assert len(want) < px.size
     assert np.flatnonzero(keep[0]).tolist() == sorted(want)
+
+
+def test_flat_width_range_is_padded():
+    # equal half-widths under a constant real coupling stay equal to within
+    # rounding, so the widths panel pads the flat range by 5 % of
+    # max(0.5, 1) each way: its y axis spans [0.45, 0.55]
+    scenario = with_profile(preset("fig1"), "constant")
+    levels = tuple(replace(level, half_width=0.5) for level in scenario.levels)
+    result = run_sweep(replace(scenario, levels=levels, sweep=SweepGrid(0.0, 1.5, 101)))
+    widths = np.array([t.gamma_half for t in result.trajectories])
+    assert np.ptp(widths) < 1e-12
+    svg = ET.fromstring(svgplot.widths_svg(result))
+    ns = "{http://www.w3.org/2000/svg}"
+    frame = svg.findall(f"{ns}rect")[1]
+    top = float(frame.get("y"))
+    bottom = top + float(frame.get("height"))
+    # tick labels sit 4 px below their tick; read the axis off the outer two
+    ticks = [
+        (float(t.text), float(t.get("y")) - 4.0)
+        for t in svg.findall(f"{ns}text")
+        if t.get("text-anchor") == "end"
+    ]
+    (v0, y0), (v1, y1) = ticks[0], ticks[-1]
+    per_px = (v1 - v0) / (y0 - y1)
+    assert abs(v0 + (y0 - bottom) * per_px - 0.45) < 1e-4
+    assert abs(v0 + (y0 - top) * per_px - 0.55) < 1e-4

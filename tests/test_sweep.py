@@ -1,6 +1,7 @@
 """Branch tracking and crossing classification on designed scenarios."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from levelcross.model import (
     build_hamiltonian_batch,
     save_scenario,
 )
+from levelcross import sweep
 from levelcross.presets import PRESET_IDS, preset
 from levelcross.sweep import (
     MATCH_TIE_TOL,
@@ -226,26 +228,49 @@ def test_symmetric_twin_holds_exactly_equal_pairs(tmp_path, monkeypatch):
     ).read_bytes()
 
 
-def test_best_assignment_matches_brute_force_per_matrix():
+def assert_best_assignment_matches_brute_force():
     # reference: scan the permutations in lexicographic order, keep the
     # best score, break near-ties by the smaller tiebreak sum
     rng = np.random.default_rng(83)
-    for n in range(1, 6):
-        score = np.round(rng.uniform(size=(40, n, n)), 1)  # rounding makes ties
-        tiebreak = np.round(rng.uniform(size=(40, n, n)), 1)
+    for n, k in [(1, 40), (2, 40), (3, 40), (4, 40), (5, 40), (6, 8), (7, 3), (8, 2)]:
+        score = np.round(rng.uniform(size=(k, n, n)), 1)  # rounding makes ties
+        tiebreak = np.round(rng.uniform(size=(k, n, n)), 1)
         got = _best_assignment(score, tiebreak)
-        assert got.shape == (40, n)
-        for k in range(40):
-            rows = np.arange(n)
-            perms = list(itertools.permutations(range(n)))
-            totals = [score[k, rows, list(p)].sum() for p in perms]
+        assert got.shape == (k, n)
+        rows = np.arange(n)
+        perms = list(itertools.permutations(range(n)))
+        for m in range(k):
+            totals = [score[m, rows, list(p)].sum() for p in perms]
             best = max(totals)
             cands = [
-                (tiebreak[k, rows, list(p)].sum(), i)
+                (tiebreak[m, rows, list(p)].sum(), i)
                 for i, p in enumerate(perms)
                 if totals[i] >= best - MATCH_TIE_TOL
             ]
-            assert tuple(got[k]) == perms[min(cands)[1]]
+            assert tuple(got[m]) == perms[min(cands)[1]]
+
+
+def test_best_assignment_matches_brute_force_per_matrix():
+    assert_best_assignment_matches_brute_force()
+
+
+def test_best_assignment_is_the_same_across_blocks(monkeypatch):
+    # 7 scores per block: blocks of 7 and 3 matrices, each with a shorter
+    # last block, at n = 1 and 2, and one matrix per block from n = 3 on
+    monkeypatch.setattr(sweep, "MATCH_BLOCK", 7)
+    assert_best_assignment_matches_brute_force()
+
+
+def test_best_assignment_memory_is_bounded():
+    # gathering all 8! permutations of 100 steps at once peaks at 308 MB
+    score = np.random.default_rng(5).uniform(size=(100, 8, 8))
+    tracemalloc.start()
+    try:
+        _best_assignment(score, score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_match_branches_prefers_vector_overlap():
