@@ -35,6 +35,23 @@ downstream. A failure names its
 batch index. Sweeps and EP searches solve through `solve_at`, which cuts
 the stack into blocks of SOLVE_BLOCK rows and turns the index into the
 caller's point.
+
+Inside, the root finder and the elimination put the points on the last,
+fast axis: coefficients (n+1, m), roots (n, m), matrices (n, n, m). Each
+transposes once on entry and once on exit, so callers see (m, ...), and
+each gives the bits of the row-major loops that tests/test_eigensolve.py
+keeps as references. Three rules hold that:
+- the Aberth repulsion sum_j 1/(z_i - z_j) is added by `_reduce_sum` in
+  the order numpy's add.reduce uses on a contiguous axis of length n,
+  which test_reduce_sum_is_four_accumulator_order pins;
+- a complex product keeps its operand order and is never computed in
+  place. numpy's vector loop fuses a multiply and an add, so a*b and b*a
+  can differ in the last bit; from 256 KB numpy may evaluate
+  `x * temporary` as `temporary *= x`; and an in-place product of one
+  element takes numpy's unfused loop (numpy 2.4, x86-64 with AVX-512);
+- no product broadcasts to a single element, which also takes the
+  unfused loop.
+Sums may be computed in place: they round the same in every loop.
 """
 
 from __future__ import annotations
@@ -129,22 +146,26 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polynomial evaluation with running error bounds
+# polynomial evaluation with running error bounds, root-major (module docstring)
 
 def _horner(coeffs: np.ndarray, z: np.ndarray, order: int = 1):
-    """Evaluate p (and derivatives up to `order` <= 2) at z; coeffs (m, n+1).
+    """Evaluate p (and derivatives up to `order` <= 2) at z.
 
-    order 0 returns p alone, otherwise the tuple (p, p', ...)."""
-    n = coeffs.shape[1] - 1
-    p = np.broadcast_to(coeffs[:, n, None], z.shape).copy()
+    coeffs (n+1, m), ascending powers; z (m,) or (k, m), column q taken
+    with polynomial q. order 0 returns p alone, otherwise (p, p', ...)."""
+    n = coeffs.shape[0] - 1
+    p = np.broadcast_to(coeffs[n], z.shape).copy()
     dp = np.zeros_like(z) if order >= 1 else None
     ddp = np.zeros_like(z) if order >= 2 else None
-    for j in range(n - 1, -1, -1):
+    for j in range(n - 1, -1, -1):  # sums in place, products not (module docstring)
         if order >= 2:
-            ddp = ddp * z + 2.0 * dp
+            ddp = ddp * z
+            ddp += 2.0 * dp
         if order >= 1:
-            dp = dp * z + p
-        p = p * z + coeffs[:, j, None]
+            dp = dp * z
+            dp += p
+        p = p * z
+        p += coeffs[j]
     if order >= 2:
         return p, dp, ddp
     if order == 1:
@@ -152,19 +173,39 @@ def _horner(coeffs: np.ndarray, z: np.ndarray, order: int = 1):
     return p
 
 
-def _noise_bounds(coeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
+def _noise_bounds(acoeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
     """Evaluation noise floor of p, 8n*eps * sum_k |c_k| r^k, the scale
     below which p(z) is numerically zero; with order 1 also its
-    derivative analogue for p'."""
-    scale = 8.0 * (coeffs.shape[1] - 1) * EPS
+    derivative analogue for p'. acoeffs is |coeffs|."""
+    scale = 8.0 * (acoeffs.shape[0] - 1) * EPS
     if order == 0:
-        return scale * _horner(np.abs(coeffs), zabs, order=0)
-    b0, b1 = _horner(np.abs(coeffs), zabs)
+        return scale * _horner(acoeffs, zabs, order=0)
+    b0, b1 = _horner(acoeffs, zabs)
     return scale * b0, scale * b1
 
 
-def _pair_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Quadratic-model polish of nearly coincident root pairs.
+def _reduce_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + ... + terms[k-1] for k <= 8, rounded as numpy's
+    add.reduce rounds a contiguous axis of length k: left to right for
+    k < 4; otherwise four running sums r_j = terms[j] + terms[j+4] + ...,
+    combined as (r0 + r1) + (r2 + r3), then the remaining terms in
+    order; finally added to +0, which turns a sum of -0 into +0.
+    test_reduce_sum_is_four_accumulator_order pins this to ndarray.sum."""
+    k = len(terms)
+    if k < 4:
+        total, rest = terms[0], terms[1:]
+    else:
+        acc = [terms[j] for j in range(4)]
+        for j in range(4, k - k % 4):
+            acc[j % 4] = acc[j % 4] + terms[j]
+        total, rest = (acc[0] + acc[1]) + (acc[2] + acc[3]), terms[k - k % 4 :]
+    for term in rest:
+        total = total + term
+    return 0.0 + total
+
+
+def _pair_polish(coeffs: np.ndarray, acoeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Quadratic-model polish of nearly coincident root pairs; z (n, m).
 
     Pairs whose local discriminant dp^2 - 2 p ddp at the midpoint drops
     below the evaluation noise floor are numerically double roots: both
@@ -172,25 +213,24 @@ def _pair_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     pairs are left untouched (the iterated roots are already better than
     the quadratic model for separated roots).
     """
-    m, n = z.shape
+    n = z.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
-            close = np.abs(z[:, i] - z[:, j]) <= CLUSTER_RTOL * (1.0 + np.abs(z[:, i]))
+            close = np.abs(z[i] - z[j]) <= CLUSTER_RTOL * (1.0 + np.abs(z[i]))
             if not close.any():
                 continue
-            rows = np.flatnonzero(close)
-            mu = 0.5 * (z[rows, i] + z[rows, j])[:, None]
-            p, dp, ddp = _horner(coeffs[rows], mu, order=2)
-            pn, dpn = _noise_bounds(coeffs[rows], np.abs(mu))
+            cols = np.flatnonzero(close)
+            mu = 0.5 * (z[i, cols] + z[j, cols])
+            p, dp, ddp = _horner(coeffs[:, cols], mu, order=2)
+            pn, dpn = _noise_bounds(acoeffs[:, cols], np.abs(mu))
             disc = dp * dp - 2.0 * p * ddp
             floor = 4.0 * (pn * np.abs(ddp) + dpn * (np.abs(dp) + dpn))
             snap = (np.abs(disc) <= floor) & (ddp != 0)
             if not snap.any():
                 continue
-            double = (mu - dp / np.where(ddp == 0, 1.0, ddp))[:, 0]
-            hit = rows[snap[:, 0]]
-            z[hit, i] = double[snap[:, 0]]
-            z[hit, j] = double[snap[:, 0]]
+            double = (mu - dp / np.where(ddp == 0, 1.0, ddp))[snap]
+            z[i, cols[snap]] = double
+            z[j, cols[snap]] = double
     return z
 
 
@@ -200,10 +240,17 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     Aberth-Ehrlich simultaneous iteration from deterministic starting
     points on a circle of radius 1 + max|c_k|, with per-root freezing,
     two guarded Newton polish steps, and the near-double pair polish.
-    A row whose roots are all frozen leaves the iteration: it is written
-    back and dropped from the working arrays, so each sweep costs only
-    the rows still moving. Every operation acts on one row at a time,
-    so a row's roots do not depend on the batch it is solved in.
+    The work is root-major: the coefficients are transposed once to
+    (n+1, m) and the iterates kept as (n, m), one contiguous row per
+    root, and the roots are transposed back at the end. The repulsion
+    sum_j 1/(z_i - z_j) is added by `_reduce_sum` in numpy's reduction
+    order, so the roots are the bits of the row-major loop
+    (test_reduce_sum_is_four_accumulator_order pins that order).
+    A point whose roots are all frozen leaves the iteration: it is
+    written back and dropped from the working arrays, so each sweep
+    costs only the points still moving. Every operation acts on one
+    point at a time, so a point's roots do not depend on the batch it is
+    solved in.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 2 or coeffs.shape[1] < 2:
@@ -218,44 +265,49 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     if n == 1:
         return -coeffs[:, :1]
 
-    radius = 1.0 + np.max(np.abs(coeffs[:, :n]), axis=1)
+    coeffs = np.ascontiguousarray(coeffs.T)
+    acoeffs = np.abs(coeffs)
+    radius = 1.0 + np.max(acoeffs[:n], axis=0)
     angles = (2.0 * np.pi * np.arange(n) + 0.5 * np.pi) / n
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-    # working set: the rows still iterating, their coefficients and roots
-    live, c, w = np.arange(m), coeffs, z.copy()
-    frozen = np.zeros((m, n), dtype=bool)
+    z = radius[None, :] * np.exp(1j * angles)[:, None]
+    # working set: the points still iterating, their coefficients and roots
+    live, c, ac, w, wabs = np.arange(m), coeffs, acoeffs, z.copy(), np.abs(z)
+    frozen = np.zeros((n, m), dtype=bool)
     iu, ju = np.triu_indices(n, 1)
+    # terms[j, i] = 1/(z_i - z_j) over the live points: once per pair, its
+    # transpose the exact negative, 0 where not finite; the diagonal stays 0
+    terms = np.zeros((n, n, m), dtype=complex)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ROOT_MAX_ITER):
             p, dp = _horner(c, w)
-            frozen |= np.abs(p) <= _noise_bounds(c, np.abs(w), order=0)
-            done = frozen.all(axis=1)
+            frozen |= np.abs(p) <= _noise_bounds(ac, wabs, order=0)
+            done = frozen.all(axis=0)
             if done.any():
-                z[live[done]] = w[done]
+                z[:, live[done]] = w[:, done]
                 keep = ~done
-                live, c, w, frozen, p, dp = (
-                    live[keep], c[keep], w[keep], frozen[keep], p[keep], dp[keep]
+                live, c, ac, w, wabs, frozen, p, dp = (
+                    live[keep], c[:, keep], ac[:, keep], w[:, keep], wabs[:, keep],
+                    frozen[:, keep], p[:, keep], dp[:, keep],
                 )
             if not live.size:
                 break
             newton = p / dp
-            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + np.abs(w)))
-            # 1/(z_i - z_j) once per pair; 1/(z_j - z_i) is its exact negative
-            d = 1.0 / (w[:, iu] - w[:, ju])
+            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + wabs))
+            d = 1.0 / (w[iu] - w[ju])
             ok = np.isfinite(d)
-            inv = np.zeros((len(live), n, n), dtype=complex)
-            inv[:, iu, ju] = np.where(ok, d, 0.0)
-            inv[:, ju, iu] = np.where(ok, -d, 0.0)
-            # keep numpy's pairwise sum: a running sum rounds differently for n >= 4
-            repulsion = inv.sum(axis=2)
+            live_terms = terms[:, :, : live.size]
+            live_terms[ju, iu] = np.where(ok, d, 0.0)
+            live_terms[iu, ju] = np.where(ok, -d, 0.0)
+            repulsion = _reduce_sum(live_terms)  # named: numpy keeps the product order
             denom = 1.0 - newton * repulsion
             step = newton / np.where(denom == 0, 1.0, denom)
             step = np.where(np.isfinite(step), step, 0.0)
             step = np.where(frozen, 0.0, step)
-            w = w - step
-            frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + np.abs(w))
-        z[live] = w
+            w -= step
+            wabs = np.abs(w)
+            frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + wabs)
+        z[:, live] = w
 
         for _ in range(NEWTON_POLISH_STEPS):
             p, dp = _horner(coeffs, z)
@@ -264,15 +316,15 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
             pt = _horner(coeffs, trial, order=0)
             z = np.where(np.abs(pt) <= np.abs(p), trial, z)
 
-        z = _pair_polish(coeffs, z)
+        z = _pair_polish(coeffs, acoeffs, z)
 
         p = _horner(coeffs, z, order=0)
-        floor = _noise_bounds(coeffs, np.abs(z), order=0)
+        floor = _noise_bounds(acoeffs, np.abs(z), order=0)
     bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p)  # an overflowed p proves nothing
     if bad.any():
-        worst = int(np.argmax(np.abs(p).max(axis=1)))
-        raise RootConvergenceError(worst, float(np.abs(p[worst]).max()))
-    return z
+        worst = int(np.argmax(np.abs(p).max(axis=0)))
+        raise RootConvergenceError(worst, float(np.abs(p[:, worst]).max()))
+    return np.ascontiguousarray(z.T)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +333,35 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 def _eliminate(amat: np.ndarray):
     """Upper-triangular factor of each batch matrix, plus |pivots|.
 
-    amat: (m, n, n). Elimination with partial (row) pivoting; columns
-    keep their order, so a tiny pivot marks a null direction.
+    amat (m, n, n) -> u (m, n, n), |pivots| (m, n). Elimination with
+    partial (row) pivoting, the first largest modulus winning; columns
+    keep their order, so a tiny pivot marks a null direction. The work
+    is point-major: the stack is transposed once to (n, n, m), pivots
+    are chosen along the rows with argmax(axis=0), a row that is some
+    point's pivot is swapped into place by np.where, and u is transposed
+    back at the end. The bits are those of the (m, n, n) row-pivoted
+    loop, `_reference_eliminate` in the tests.
     """
-    a = np.asarray(amat, dtype=complex).copy()
-    m, n = a.shape[0], a.shape[1]
-    rows = np.arange(m)
+    a = np.moveaxis(np.asarray(amat, dtype=complex), 0, -1).copy()
+    n = a.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n - 1):
-            piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-            swap = a[rows, piv].copy()
-            a[rows, piv] = a[:, k]
-            a[:, k] = swap
-            head = a[:, k, k]
+            # rows k.. are 0 left of column k, so the swap moves columns k..
+            piv = k + np.argmax(np.abs(a[k:, k]), axis=0)
+            top = a[k, k:].copy()
+            for r in range(k + 1, n):
+                hit = piv == r
+                if hit.any():
+                    a[k, k:] = np.where(hit, a[r, k:], a[k, k:])
+                    a[r, k:] = np.where(hit, top, a[r, k:])
+            head = a[k, k]
             safe = np.where(head == 0, 1.0, head)
-            factor = a[:, k + 1 :, k] / safe[:, None]
-            factor = np.where(head[:, None] == 0, 0.0, factor)
-            a[:, k + 1 :, k + 1 :] -= factor[:, :, None] * a[:, k, k + 1 :][:, None, :]
-            a[:, k + 1 :, k] = 0.0
-    return a, np.abs(np.diagonal(a, axis1=1, axis2=2))
+            factor = np.where(head == 0, 0.0, a[k + 1 :, k] / safe)
+            # (r, 1, m) * (1, r, m): never a broadcast to one element (module docstring)
+            a[k + 1 :, k + 1 :] -= factor[:, None] * a[k, None, k + 1 :]
+            a[k + 1 :, k] = 0.0
+    u = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return u, np.abs(np.diagonal(u, axis1=1, axis2=2))
 
 
 def _back_substitute(u: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -358,11 +420,11 @@ def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, order, axis=1)
 
 
-def _canonicalize(vectors, defective):
+def _canonicalize(vectors, defective, bilinear):
     """Deterministic gauge: bilinear normalization for regular pairs
     (largest component's real part positive), unit Euclidean length and
-    real-positive largest component for defective ones."""
-    bilinear = (vectors * vectors).sum(axis=2)
+    real-positive largest component for defective ones. bilinear is
+    (vectors * vectors).sum(axis=2), which the caller has at hand."""
     lead = np.take_along_axis(
         vectors, np.argmax(np.abs(vectors), axis=2)[:, :, None], axis=2
     )[:, :, 0]
@@ -421,7 +483,7 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
     defective = np.abs(bilinear) < DEFECTIVE_RTOL * euclid
-    vectors = _canonicalize(vectors, defective)
+    vectors = _canonicalize(vectors, defective, bilinear)
 
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
 

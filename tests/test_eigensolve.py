@@ -373,6 +373,15 @@ def test_roots_match_the_full_batch_loop_on_random_polynomials(degree):
     assert_same_outcome(random_coeffs(np.random.default_rng(100 + degree), degree, 300))
 
 
+@pytest.mark.parametrize(
+    "scenario", [preset("fig4"), scenario_from_dict(star_spec(8, 2))], ids=["fig4", "star8"]
+)
+def test_roots_match_the_full_batch_loop_on_a_full_block(scenario):
+    # a block of SOLVE_BLOCK points: from 256 KB on, numpy evaluates an
+    # expression on a temporary in place, and may swap a product's operands
+    assert_same_outcome(grid_coeffs(scenario, es.SOLVE_BLOCK))
+
+
 def test_row_roots_do_not_depend_on_the_batch():
     coeffs = np.concatenate(
         [mixed_batch(), grid_coeffs(scenario_from_dict(star_spec(4, 101)), 101)]
@@ -399,6 +408,121 @@ def test_iteration_cap_matches_the_full_batch_loop(monkeypatch):
         # the distinct-root rows froze early and keep their bits
         assert np.array_equal(capped[:10], full[:10])
     assert 0 < errors < 24  # both the error and the written-back paths ran
+
+
+# ---------------------------------------------------------------------------
+# the summation order of the Aberth repulsion
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_reduce_sum_is_four_accumulator_order(k):
+    # es._reduce_sum writes out the order numpy's add.reduce uses on a
+    # contiguous axis of length k; a numpy that sums in another order
+    # fails here, before it moves a root's last bit
+    rng = np.random.default_rng(70 + k)
+    sign = rng.choice([-1.0, 1.0], size=(20000, k, 2))
+    parts = sign * 10.0 ** rng.uniform(-8, 8, size=(20000, k, 2))
+    signed_zero = rng.random((20000, k, 2)) < 0.25
+    parts = np.where(signed_zero, np.copysign(0.0, parts), parts)
+    parts[:100] = np.copysign(0.0, parts[:100])  # all-zero rows: -0 and +0 in every mix
+    stack = parts.view(complex)[..., 0]  # (20000, k), contiguous last axis
+    got = es._reduce_sum(np.ascontiguousarray(stack.T))
+    assert np.array_equal(got.view(np.uint64), stack.sum(axis=-1).view(np.uint64))
+    if k >= 4:  # the order matters: a running sum rounds differently
+        running = stack[:, 0]
+        for j in range(1, k):
+            running = running + stack[:, j]
+        assert not np.array_equal(running.view(np.uint64), got.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# elimination against the row-pivoted (m, n, n) loop
+#
+# The reference is _eliminate as it was before it moved the points onto
+# the last axis: one matrix per leading index, rows swapped by fancy
+# indexing. The point-major version must give the same bits.
+
+
+def _reference_eliminate(amat: np.ndarray):
+    """Upper-triangular factor of each batch matrix, plus |pivots|.
+
+    amat: (m, n, n). Elimination with partial (row) pivoting; columns
+    keep their order, so a tiny pivot marks a null direction.
+    """
+    a = np.asarray(amat, dtype=complex).copy()
+    m, n = a.shape[0], a.shape[1]
+    rows = np.arange(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+            swap = a[rows, piv].copy()
+            a[rows, piv] = a[:, k]
+            a[:, k] = swap
+            head = a[:, k, k]
+            safe = np.where(head == 0, 1.0, head)
+            factor = a[:, k + 1 :, k] / safe[:, None]
+            factor = np.where(head[:, None] == 0, 0.0, factor)
+            a[:, k + 1 :, k + 1 :] -= factor[:, :, None] * a[:, k, k + 1 :][:, None, :]
+            a[:, k + 1 :, k] = 0.0
+    return a, np.abs(np.diagonal(a, axis1=1, axis2=2))
+
+
+def assert_same_elimination(amat):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = _reference_eliminate(amat), es._eliminate(amat)
+    for w, g in zip(want, got):
+        assert g.shape == w.shape
+        assert np.array_equal(np.ascontiguousarray(g).view(np.uint64), w.view(np.uint64))
+
+
+def assert_same_elimination_at_each_eigenvalue(h):
+    values = eigenvalues_batch(h)
+    eye = np.eye(h.shape[1], dtype=complex)
+    for i in range(h.shape[1]):
+        amat = h - values[:, i, None, None] * eye
+        assert_same_elimination(amat)
+        for q in range(0, len(amat), 500):  # one matrix alone, as the EP search solves it
+            assert_same_elimination(amat[q : q + 1])
+
+
+def awkward_stacks(rng, n):
+    """Random complex-symmetric stacks of order n, 200 matrices each:
+    plain; a zero column in every matrix; a duplicated row (a pivot tie
+    at every step that reaches it); entries of modulus past the float
+    range; and a row scaled by 1j (ties between moduli, not bits)."""
+    plain = random_symmetric(rng, n, m=200)
+    zero_column = plain.copy()
+    zero_column[np.arange(200), :, rng.integers(0, n, size=200)] = 0.0
+    duplicated = plain.copy()
+    if n >= 2:
+        duplicated[:, n - 1] = duplicated[:, 0]
+    huge = plain.copy()
+    huge[:100, 0, 0] = 1.5e308 + 1.5e308j   # |entry| = inf
+    huge[100:, n - 1, 0] = 1.5e308 - 1.5e308j
+    rotated = plain.copy()
+    if n >= 2:
+        rotated[:, 1] = 1j * rotated[:, 0]
+    return [plain, zero_column, duplicated, huge, rotated]
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_elimination_matches_the_row_loop_on_presets(pid):
+    assert_same_elimination_at_each_eigenvalue(grid_hamiltonians(preset(pid), 2001))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_elimination_matches_the_row_loop_on_star_scenarios(order):
+    assert_same_elimination_at_each_eigenvalue(
+        grid_hamiltonians(scenario_from_dict(star_spec(order, 2001)), 2001)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_elimination_matches_the_row_loop_on_awkward_stacks(n):
+    rng = np.random.default_rng(90 + n)
+    for stack in awkward_stacks(rng, n):
+        assert_same_elimination(stack)
+        assert_same_elimination(stack[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +691,7 @@ def reference_spectrum(h):
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
     defective = np.abs(bilinear) < es.DEFECTIVE_RTOL * euclid
-    vectors = _canonicalize(vectors, defective)
+    vectors = _canonicalize(vectors, defective, bilinear)
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
     hv = np.einsum("mij,mkj->mki", h, vectors)
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
@@ -745,8 +869,8 @@ def test_biorthogonality_of_separated_pairs():
 
 
 def test_biorthogonality_error_names_the_batch_index(monkeypatch):
-    def spoil_second_matrix(vectors, defective):
-        vectors = _canonicalize(vectors, defective).copy()
+    def spoil_second_matrix(vectors, defective, bilinear):
+        vectors = _canonicalize(vectors, defective, bilinear).copy()
         vectors[1, 1] = vectors[1, 0]  # duplicate direction in matrix 1 only
         return vectors
 
@@ -823,8 +947,8 @@ def test_near_coalescence_roots_follow_closed_form():
 def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
     # a solver bug that hands two well-separated eigenvalues one shared
     # direction must not pass silently
-    def duplicate_direction(vectors, defective):
-        vectors = _canonicalize(vectors, defective).copy()
+    def duplicate_direction(vectors, defective, bilinear):
+        vectors = _canonicalize(vectors, defective, bilinear).copy()
         vectors[:, 1] = vectors[:, 0]
         return vectors
 
