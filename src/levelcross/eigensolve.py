@@ -40,7 +40,7 @@ Inside, the root finder and the elimination put the points on the last,
 fast axis: coefficients (n+1, m), roots (n, m), matrices (n, n, m). Each
 transposes once on entry and once on exit, so callers see (m, ...), and
 each gives the bits of the row-major loops that tests/test_eigensolve.py
-keeps as references. Three rules hold that:
+keeps as references. Four rules hold that:
 - the Aberth repulsion sum_j 1/(z_i - z_j) is added by `_reduce_sum` in
   the order numpy's add.reduce uses on a contiguous axis of length n,
   which test_reduce_sum_is_four_accumulator_order pins;
@@ -50,7 +50,9 @@ keeps as references. Three rules hold that:
   `x * temporary` as `temporary *= x`; and an in-place product of one
   element takes numpy's unfused loop (numpy 2.4, x86-64 with AVX-512);
 - no product broadcasts to a single element, which also takes the
-  unfused loop.
+  unfused loop;
+- a masking pass (np.where with a fallback) is skipped only when its
+  mask selects nothing: it would copy every value, so no bit changes.
 Sums may be computed in place: they round the same in every loop.
 """
 
@@ -134,12 +136,13 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix order {n} exceeds supported maximum {MAX_ORDER}")
     coeffs = np.zeros((m, n + 1), dtype=complex)
     coeffs[:, n] = 1.0
-    work = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
+    eye = np.eye(n, dtype=complex)
+    work = np.broadcast_to(eye, (m, n, n)).copy()
     c = -np.einsum("mii->m", h)
     coeffs[:, n - 1] = c
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the caller's to judge
         for k in range(2, n + 1):
-            work = h @ work + c[:, None, None] * np.eye(n, dtype=complex)
+            work = h @ work + c[:, None, None] * eye
             c = -np.einsum("mij,mji->m", h, work) / k
             coeffs[:, n - k] = c
     return coeffs
@@ -154,9 +157,10 @@ def _horner(coeffs: np.ndarray, z: np.ndarray, order: int = 1):
     coeffs (n+1, m), ascending powers; z (m,) or (k, m), column q taken
     with polynomial q. order 0 returns p alone, otherwise (p, p', ...)."""
     n = coeffs.shape[0] - 1
-    p = np.broadcast_to(coeffs[n], z.shape).copy()
-    dp = np.zeros_like(z) if order >= 1 else None
-    ddp = np.zeros_like(z) if order >= 2 else None
+    p = np.empty(z.shape, dtype=coeffs.dtype)
+    p[...] = coeffs[n]
+    dp = np.zeros(z.shape, dtype=z.dtype) if order >= 1 else None
+    ddp = np.zeros(z.shape, dtype=z.dtype) if order >= 2 else None
     for j in range(n - 1, -1, -1):  # sums in place, products not (module docstring)
         if order >= 2:
             ddp = ddp * z
@@ -182,6 +186,18 @@ def _noise_bounds(acoeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
         return scale * _horner(acoeffs, zabs, order=0)
     b0, b1 = _horner(acoeffs, zabs)
     return scale * b0, scale * b1
+
+
+_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the pairs i < j: made once per n, shared read-only."""
+    if n not in _PAIRS:
+        _PAIRS[n] = np.triu_indices(n, 1)
+        for index in _PAIRS[n]:
+            index.flags.writeable = False
+    return _PAIRS[n]
 
 
 def _reduce_sum(terms: np.ndarray) -> np.ndarray:
@@ -273,7 +289,7 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     # working set: the points still iterating, their coefficients and roots
     live, c, ac, w, wabs = np.arange(m), coeffs, acoeffs, z.copy(), np.abs(z)
     frozen = np.zeros((n, m), dtype=bool)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_indices(n)
     # terms[j, i] = 1/(z_i - z_j) over the live points: once per pair, its
     # transpose the exact negative, 0 where not finite; the diagonal stays 0
     terms = np.zeros((n, n, m), dtype=complex)
@@ -292,18 +308,24 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
                 )
             if not live.size:
                 break
-            newton = p / dp
-            newton = np.where(np.isfinite(newton), newton, 0.05 * (1.0 + wabs))
+            newton = p / dp  # a fallback pass runs only when its mask selects a value (docstring)
+            if not (ok := np.isfinite(newton)).all():
+                newton = np.where(ok, newton, 0.05 * (1.0 + wabs))
             d = 1.0 / (w[iu] - w[ju])
-            ok = np.isfinite(d)
             live_terms = terms[:, :, : live.size]
-            live_terms[ju, iu] = np.where(ok, d, 0.0)
-            live_terms[iu, ju] = np.where(ok, -d, 0.0)
+            if (ok := np.isfinite(d)).all():
+                live_terms[ju, iu], live_terms[iu, ju] = d, -d
+            else:
+                live_terms[ju, iu] = np.where(ok, d, 0.0)
+                live_terms[iu, ju] = np.where(ok, -d, 0.0)
             repulsion = _reduce_sum(live_terms)  # named: numpy keeps the product order
             denom = 1.0 - newton * repulsion
-            step = newton / np.where(denom == 0, 1.0, denom)
-            step = np.where(np.isfinite(step), step, 0.0)
-            step = np.where(frozen, 0.0, step)
+            if (zero := denom == 0).any():
+                denom = np.where(zero, 1.0, denom)
+            step = newton / denom
+            if not (ok := np.isfinite(step)).all():
+                step = np.where(ok, step, 0.0)
+            step[frozen] = 0.0
             w -= step
             wabs = np.abs(w)
             frozen |= np.abs(step) <= ROOT_RTOL * (1.0 + wabs)
@@ -312,7 +334,8 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         for _ in range(NEWTON_POLISH_STEPS):
             p, dp = _horner(coeffs, z)
             trial = z - p / dp
-            trial = np.where(np.isfinite(trial), trial, z)
+            if not (ok := np.isfinite(trial)).all():
+                trial = np.where(ok, trial, z)
             pt = _horner(coeffs, trial, order=0)
             z = np.where(np.abs(pt) <= np.abs(p), trial, z)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import eigenvalues_batch, solve_at, solve_spectrum_batch
+from .eigensolve import eigenvalues_batch, pair_indices, solve_at, solve_spectrum_batch
 from .model import Scenario, ScenarioError, Tunable, build_hamiltonian_batch
 
 GAP_TOL = 1e-8            # coalescence detection threshold
@@ -49,7 +49,7 @@ class EPReport:
 def _closest_pair(values: np.ndarray):
     """lambda_i - lambda_j of the closest pair i < j at each point, with i
     and j; values (m, n) -> three (m,) arrays."""
-    iu, ju = np.triu_indices(values.shape[-1], 1)
+    iu, ju = pair_indices(values.shape[-1])
     diff = values[:, iu] - values[:, ju]
     k = np.argmin(np.abs(diff), axis=1)
     return diff[np.arange(len(k)), k], iu[k], ju[k]

@@ -5,7 +5,9 @@ Oracles: the two-level closed form, numpy.linalg for determinants and
 known spectra. Random inputs are seeded and symmetrized.
 """
 
+import inspect
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -31,7 +33,8 @@ from levelcross.eigensolve import (
     solve_at,
     solve_spectrum_batch,
 )
-from levelcross.model import build_hamiltonian_batch, scenario_from_dict
+from levelcross.epfinder import SCAN_POINTS
+from levelcross.model import Tunable, build_hamiltonian_batch, scenario_from_dict, with_profile
 from levelcross.presets import PRESET_IDS, preset
 
 
@@ -288,7 +291,7 @@ def reference_roots(coeffs):
 
     p, _ = _reference_horner(coeffs, z)
     floor, _ = _reference_noise_bounds(coeffs, np.abs(z))
-    bad = np.abs(p) > 1e3 * floor
+    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p)
     if bad.any():
         worst = int(np.argmax(np.abs(p).max(axis=1)))
         raise RootConvergenceError(worst, float(np.abs(p[worst]).max()))
@@ -296,11 +299,12 @@ def reference_roots(coeffs):
 
 
 def outcome(solve, coeffs):
-    """The roots' bit patterns, or the error's (batch_index, residual)."""
+    """The roots' bit patterns, or the error's batch_index and the bit
+    pattern of its residual (so that a residual of nan equals itself)."""
     try:
         return solve(coeffs.copy()).view(np.uint64)
     except RootConvergenceError as err:
-        return err.batch_index, err.residual
+        return err.batch_index, np.float64(err.residual).view(np.uint64)
 
 
 def assert_same_outcome(coeffs):
@@ -380,6 +384,123 @@ def test_roots_match_the_full_batch_loop_on_a_full_block(scenario):
     # a block of SOLVE_BLOCK points: from 256 KB on, numpy evaluates an
     # expression on a temporary in place, and may swap a product's operands
     assert_same_outcome(grid_coeffs(scenario, es.SOLVE_BLOCK))
+
+
+def ep_scan_coeffs(scenario, level):
+    """Characteristic polynomials of find_ep's SCAN_POINTS^2 scan over the
+    criterion-2 box, the scenario tuned by the 0-based level's half-width."""
+    axes = [np.linspace(lo, hi, SCAN_POINTS) for lo, hi in ((0.3, 1.0), (0.4, 0.8))]
+    a, t = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    return char_poly_batch(
+        build_hamiltonian_batch(scenario, a, tunable=Tunable("gamma_half", level), value=t)
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario, level",
+    [(with_profile(preset("fig1"), "constant"), 1), (preset("fig4"), 3)],
+    ids=["fig1_constant", "fig4"],
+)
+def test_roots_match_the_full_batch_loop_on_ep_scans(scenario, level):
+    # the scan stack, then the Newton (3 rows) and probe (4 rows) batch
+    # shapes and single rows, cut at the cells nearest to a coalescence
+    # and at a stride through the box
+    coeffs = ep_scan_coeffs(scenario, level)
+    assert_same_outcome(coeffs)
+    values = np.sort_complex(poly_roots_batch(coeffs))
+    nearest = np.argsort(np.abs(np.diff(values, axis=1)).min(axis=1), kind="stable")[:10]
+    for start in sorted({*nearest.tolist(), *range(0, len(coeffs), 260)}):
+        for rows in (1, 3, 4):
+            assert_same_outcome(coeffs[start : start + rows])
+
+
+# The Aberth loop's fallback passes, each known by a fragment of the one
+# line it runs only when its mask selects something (module docstring).
+FALLBACK_PASSES = {
+    "newton": "newton = np.where(",
+    "pair term": "live_terms[ju, iu] = np.where(",
+    "denominator": "denom = np.where(",
+    "step": "step = np.where(",
+    "polish trial": "trial = np.where(",
+}
+
+
+def traced_run(solve, coeffs):
+    """Run solve(coeffs), poly_roots_batch or reference_roots, under a
+    line tracer. Returns how many times each fallback pass of
+    poly_roots_batch ran and the bit patterns of the roots as they stood
+    when solve returned or raised RootConvergenceError, points first."""
+    lines, first = inspect.getsourcelines(poly_roots_batch)
+    where = {
+        first + k: name
+        for k, line in enumerate(lines)
+        for name, fragment in FALLBACK_PASSES.items()
+        if fragment in line
+    }
+    assert sorted(where.values()) == sorted(FALLBACK_PASSES)
+    runs, last = dict.fromkeys(FALLBACK_PASSES, 0), {}
+
+    def in_solve(frame, event, arg):
+        if event == "line" and solve is poly_roots_batch and frame.f_lineno in where:
+            runs[where[frame.f_lineno]] += 1
+        elif event == "return":
+            last["z"] = np.array(frame.f_locals["z"])
+        return in_solve
+
+    def calls(frame, event, arg):
+        return in_solve if frame.f_code is solve.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        solve(coeffs.copy())
+    except RootConvergenceError:
+        pass
+    finally:
+        sys.settrace(previous)
+    z = last["z"].T if solve is poly_roots_batch else last["z"]  # root-major inside
+    return runs, np.ascontiguousarray(z).view(np.uint64)
+
+
+# Rows at the overflow edge of the start circle, radius 1 + max|c_k|:
+# there p overflows to inf (the noise bound too, so the root freezes) or
+# to nan (it does not), and nan roots take the fallback Newton step. The
+# first two rows then pass the final check and their roots are compared
+# bit for bit, though one root of each is wrong: it froze on the start
+# circle under an overflowed noise bound (CHANGES.md). In the last two an
+# iterate runs out of range, pair terms and steps go non-finite and the
+# rows fail with a residual of nan, so their roots are compared as they
+# stood when the final check raised.
+FALLBACK_ROWS = [
+    [1.13189304e34 + 2.88214028e34j, 3.45671267e24 + 1.13561399e25j,
+     -7.06985001e29 - 4.45221263e30j, 0.0, 1.32028379e38 + 3.92858674e38j,
+     1.70451452e42 - 5.64065799e42j, -3.67873498e43 - 3.21394577e43j, 1.0],
+    [-1.13380295e49 + 1.50210772e47j, 0.0, 6.49797624e47 - 3.53519512e47j, 0.0,
+     -4.20985629e48 - 1.91939865e49j, 1.30327410e51 - 1.64328593e51j, 1.0],
+    [0.0, -5.18612026e306 - 2.01922428e306j, 0.0, 1.06287134e301 - 5.53833099e301j, 1.0],
+    [-2.23065130e304 - 5.69053138e304j, 0.0, -1.32295663e300 + 4.88064627e300j,
+     8.84604881e304 + 3.75042858e304j, 1.0],
+]
+
+
+def test_fallback_passes_match_the_full_batch_loop():
+    runs = dict.fromkeys(FALLBACK_PASSES, 0)
+    failed = []
+    # the reference's final check runs outside its errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in FALLBACK_ROWS:
+            coeffs = np.array([row], dtype=complex)
+            assert_same_outcome(coeffs)
+            failed.append(isinstance(outcome(poly_roots_batch, coeffs), tuple))
+            row_runs, roots = traced_run(poly_roots_batch, coeffs)
+            assert np.array_equal(roots, traced_run(reference_roots, coeffs)[1])
+            for name, count in row_runs.items():
+                runs[name] += count
+    assert failed == [False, False, True, True]
+    # every pass ran but the zero denominator's: 1 - newton * repulsion is
+    # exactly 0 only where that product rounds to exactly 1, which no input
+    # was found to reach (CHANGES.md)
+    assert [name for name, count in runs.items() if not count] == ["denominator"]
 
 
 def test_row_roots_do_not_depend_on_the_batch():

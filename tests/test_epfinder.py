@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import levelcross.eigensolve as es
 from levelcross import epfinder
 from levelcross.eigensolve import (
     BiorthogonalityError,
@@ -37,6 +38,7 @@ from levelcross.model import (
 )
 from levelcross.presets import preset
 from levelcross.twolevel import ep_condition_2level
+from test_eigensolve import reference_roots
 
 TUNE_G2 = Tunable("gamma_half", 1)
 BOX = ((0.3, 1.0), (0.4, 0.8))
@@ -398,6 +400,29 @@ def test_probes_that_never_come_back_clean_give_zero(monkeypatch):
     assert probe_norm_blowup(sc, TUNE_G2, location, (1e-300, 1e-300)) == 0.0
     assert sizes == [4] * PROBE_MAX_DOUBLINGS
     assert per_probe_norm_blowup(sc, TUNE_G2, location, (1e-300, 1e-300)) == 0.0
+
+
+def search_outcome(name):
+    """The search's report, its floats as bit patterns, or its error message."""
+    sc, level, box = SEARCHES[name]
+    try:
+        report = find_ep(sc, Tunable("gamma_half", level), box)
+    except SolverError as err:
+        return str(err)
+    floats = np.array([*report.location, report.gap, report.norm_blowup])
+    return floats.view(np.uint64).tolist(), report.pair, report.converged
+
+
+def test_searches_keep_their_bits_with_the_full_batch_root_loop(monkeypatch):
+    # every root of the five converging searches and of fig5's failing
+    # probe, taken from the reference loop instead, changes no bit of a
+    # report and no character of the error
+    names = ["fig1_constant", "fig1_gaussian", "fig2", "fig4", "fig9", "fig5"]
+    want = {name: search_outcome(name) for name in names}
+    monkeypatch.setattr(es, "poly_roots_batch", reference_roots)
+    assert {name: search_outcome(name) for name in names} == want
+    assert isinstance(want["fig5"], str) and want["fig5"].startswith("eigensolver failed at probe")
+    assert all(want[name][2] for name in names[:5])
 
 
 def test_find_ep_is_deterministic():
