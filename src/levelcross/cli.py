@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,11 +172,7 @@ def _manifest(command, scenario, outputs, started, extra=None) -> dict:
     body = {
         "command": command,
         "scenario": scenario.label,
-        "grid": {
-            "a_min": scenario.sweep.a_min,
-            "a_max": scenario.sweep.a_max,
-            "steps": scenario.sweep.steps,
-        },
+        "grid": asdict(scenario.sweep),
         "solver": {
             "root_rtol": ROOT_RTOL,
             "root_max_iter": ROOT_MAX_ITER,

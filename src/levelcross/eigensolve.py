@@ -58,6 +58,7 @@ Sums may be computed in place: they round the same in every loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -188,16 +189,13 @@ def _noise_bounds(acoeffs: np.ndarray, zabs: np.ndarray, order: int = 1):
     return scale * b0, scale * b1
 
 
-_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), the pairs i < j: made once per n, shared read-only."""
-    if n not in _PAIRS:
-        _PAIRS[n] = np.triu_indices(n, 1)
-        for index in _PAIRS[n]:
-            index.flags.writeable = False
-    return _PAIRS[n]
+    """np.triu_indices(n, 1), the pairs i < j in row order: made once per n, shared read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _reduce_sum(terms: np.ndarray) -> np.ndarray:
@@ -229,24 +227,22 @@ def _pair_polish(coeffs: np.ndarray, acoeffs: np.ndarray, z: np.ndarray) -> np.n
     pairs are left untouched (the iterated roots are already better than
     the quadratic model for separated roots).
     """
-    n = z.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            close = np.abs(z[i] - z[j]) <= CLUSTER_RTOL * (1.0 + np.abs(z[i]))
-            if not close.any():
-                continue
-            cols = np.flatnonzero(close)
-            mu = 0.5 * (z[i, cols] + z[j, cols])
-            p, dp, ddp = _horner(coeffs[:, cols], mu, order=2)
-            pn, dpn = _noise_bounds(acoeffs[:, cols], np.abs(mu))
-            disc = dp * dp - 2.0 * p * ddp
-            floor = 4.0 * (pn * np.abs(ddp) + dpn * (np.abs(dp) + dpn))
-            snap = (np.abs(disc) <= floor) & (ddp != 0)
-            if not snap.any():
-                continue
-            double = (mu - dp / np.where(ddp == 0, 1.0, ddp))[snap]
-            z[i, cols[snap]] = double
-            z[j, cols[snap]] = double
+    for i, j in np.transpose(pair_indices(z.shape[0])).tolist():
+        close = np.abs(z[i] - z[j]) <= CLUSTER_RTOL * (1.0 + np.abs(z[i]))
+        if not close.any():
+            continue
+        cols = np.flatnonzero(close)
+        mu = 0.5 * (z[i, cols] + z[j, cols])
+        p, dp, ddp = _horner(coeffs[:, cols], mu, order=2)
+        pn, dpn = _noise_bounds(acoeffs[:, cols], np.abs(mu))
+        disc = dp * dp - 2.0 * p * ddp
+        floor = 4.0 * (pn * np.abs(ddp) + dpn * (np.abs(dp) + dpn))
+        snap = (np.abs(disc) <= floor) & (ddp != 0)
+        if not snap.any():
+            continue
+        double = (mu - dp / np.where(ddp == 0, 1.0, ddp))[snap]
+        z[i, cols[snap]] = double
+        z[j, cols[snap]] = double
     return z
 
 
@@ -343,7 +339,8 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
         p = _horner(coeffs, z, order=0)
         floor = _noise_bounds(acoeffs, np.abs(z), order=0)
-    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p)  # an overflowed p proves nothing
+    # an overflowed p or noise floor proves nothing (a root frozen under an inf floor)
+    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p) | ~np.isfinite(floor)
     if bad.any():
         worst = int(np.argmax(np.abs(p).max(axis=0)))
         raise RootConvergenceError(worst, float(np.abs(p[:, worst]).max()))
@@ -399,8 +396,6 @@ def _back_substitute(u: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 2, -1, -1):
             active = (i < free) & ~held[:, i]
-            if not active.any():
-                continue
             partial = -(u[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
             head = u[:, i, i]
             xi = partial / np.where(head == 0, 1.0, head)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -272,11 +272,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 str(k + 1): _complex_to_dict(v) for k, v in sorted(coupling.selfenergy.items())
             },
         },
-        "sweep": {
-            "a_min": scenario.sweep.a_min,
-            "a_max": scenario.sweep.a_max,
-            "steps": scenario.sweep.steps,
-        },
+        "sweep": asdict(scenario.sweep),
     }
 
 

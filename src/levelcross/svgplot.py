@@ -27,7 +27,7 @@ __all__ = ["energies_svg", "widths_svg"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 760, 420
-_LEFT, _RIGHT, _TOP, _BOTTOM = 72, 148, 34, 46
+_PX0, _PX1, _PY0, _PY1 = 72, _WIDTH - 148, 34, _HEIGHT - 46  # the plot box, in pixels
 
 TOLERANCE_PX = 0.005  # half of the 0.01 px the points are printed to
 
@@ -107,12 +107,11 @@ def _keep(px, py) -> np.ndarray:
     return keep
 
 
-def _axes(result: SweepResult, rows):
-    """Data-to-pixel maps of a panel whose y range covers ``rows``, and that range."""
-    a = result.a
-    x_lo, x_hi = float(a[0]), float(a[-1])
-    stack = np.concatenate([np.asarray(r, dtype=float) for r in rows])
-    finite = stack[np.isfinite(stack)]
+def _axes(result: SweepResult, rows: np.ndarray):
+    """Data-to-pixel maps of a panel whose y range covers the (k, m) ``rows``,
+    and its x and y ranges."""
+    x_lo, x_hi = float(result.a[0]), float(result.a[-1])
+    finite = rows[np.isfinite(rows)]
     y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi - y_lo < 1e-12:
         pad = max(abs(y_hi), 1.0) * 0.05
@@ -120,26 +119,19 @@ def _axes(result: SweepResult, rows):
         pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    px0, px1 = _LEFT, _WIDTH - _RIGHT
-    py0, py1 = _TOP, _HEIGHT - _BOTTOM
-
     def sx(v):
-        return px0 + (v - x_lo) / (x_hi - x_lo) * (px1 - px0)
+        return _PX0 + (v - x_lo) / (x_hi - x_lo) * (_PX1 - _PX0)
 
     def sy(v):
-        return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
+        return _PY1 - (v - y_lo) / (y_hi - y_lo) * (_PY1 - _PY0)
 
-    return sx, sy, y_lo, y_hi
+    return sx, sy, (x_lo, x_hi), (y_lo, y_hi)
 
 
 def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
-    sx, sy, y_lo, y_hi = _axes(result, bare_rows + branch_rows)
-    a = result.a
-    x_lo, x_hi = float(a[0]), float(a[-1])
-    px0, px1 = _LEFT, _WIDTH - _RIGHT
-    py0, py1 = _TOP, _HEIGHT - _BOTTOM
-    px = sx(a)
-    py = sy(np.array(bare_rows + branch_rows, dtype=float))
+    rows = np.array(bare_rows + branch_rows, dtype=float)
+    sx, sy, x_range, y_range = _axes(result, rows)
+    px, py = sx(result.a), sy(rows)
     keep = _keep(px, py)
     points = [_points(px[k], y[k]) for y, k in zip(py, keep)]
     title = result.scenario.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -147,28 +139,28 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}"'
         ' font-family="Helvetica, Arial, sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{px0}" y="20" font-size="14">{title}</text>',
-        f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" height="{py1 - py0}"'
+        f'<text x="{_PX0}" y="20" font-size="14">{title}</text>',
+        f'<rect x="{_PX0}" y="{_PY0}" width="{_PX1 - _PX0}" height="{_PY1 - _PY0}"'
         ' fill="none" stroke="#444"/>',
     ]
-    for v in _ticks(x_lo, x_hi):
+    for v in _ticks(*x_range):
         x = sx(v)
-        parts.append(f'<line x1="{x:.2f}" y1="{py1}" x2="{x:.2f}" y2="{py1 + 5}" stroke="#444"/>')
+        parts.append(f'<line x1="{x:.2f}" y1="{_PY1}" x2="{x:.2f}" y2="{_PY1 + 5}" stroke="#444"/>')
         parts.append(
-            f'<text x="{x:.2f}" y="{py1 + 18}" text-anchor="middle">{_fmt(v)}</text>'
+            f'<text x="{x:.2f}" y="{_PY1 + 18}" text-anchor="middle">{_fmt(v)}</text>'
         )
-    for v in _ticks(y_lo, y_hi):
+    for v in _ticks(*y_range):
         y = sy(v)
-        parts.append(f'<line x1="{px0 - 5}" y1="{y:.2f}" x2="{px0}" y2="{y:.2f}" stroke="#444"/>')
+        parts.append(f'<line x1="{_PX0 - 5}" y1="{y:.2f}" x2="{_PX0}" y2="{y:.2f}" stroke="#444"/>')
         parts.append(
-            f'<text x="{px0 - 8}" y="{y + 4:.2f}" text-anchor="end">{_fmt(v)}</text>'
+            f'<text x="{_PX0 - 8}" y="{y + 4:.2f}" text-anchor="end">{_fmt(v)}</text>'
         )
     parts.append(
-        f'<text x="{(px0 + px1) / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle">a</text>'
+        f'<text x="{(_PX0 + _PX1) / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle">a</text>'
     )
     parts.append(
-        f'<text x="18" y="{(py0 + py1) / 2:.0f}" text-anchor="middle"'
-        f' transform="rotate(-90 18 {(py0 + py1) / 2:.0f})">{ylabel}</text>'
+        f'<text x="18" y="{(_PY0 + _PY1) / 2:.0f}" text-anchor="middle"'
+        f' transform="rotate(-90 18 {(_PY0 + _PY1) / 2:.0f})">{ylabel}</text>'
     )
 
     dashed = 'stroke="#999" stroke-width="1" stroke-dasharray="6 4"'
@@ -178,7 +170,7 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{pts}"/>')
 
-    lx, ly = px1 + 12, py0 + 8
+    lx, ly = _PX1 + 12, _PY0 + 8
     for k in range(len(branch_rows)):
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(

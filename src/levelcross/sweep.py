@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SpectrumBatch, solve_at, solve_spectrum_batch
+from .eigensolve import SpectrumBatch, pair_indices, solve_at, solve_spectrum_batch
 from .model import Scenario, bare_levels, build_hamiltonian_batch
 
 __all__ = [
@@ -45,7 +45,10 @@ MATCH_BLOCK = 1 << 20
 
 @functools.cache
 def _permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
+    """Every permutation of range(n), lexicographic: made once per n, shared read-only."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    perms.flags.writeable = False
+    return perms
 
 
 def _best_assignment(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
@@ -229,14 +232,6 @@ def _valleys(depth: np.ndarray, tol: float):
     return list(zip(minima.tolist(), lo[minima].tolist(), hi[minima].tolist()))
 
 
-def _end_levels(result: SweepResult) -> np.ndarray:
-    """Branch -> nearest unperturbed level assignment at a_max."""
-    eps_end = result.bare[-1]
-    ends = np.array([t.values[-1] for t in result.trajectories])
-    cost = np.abs(ends[:, None] - eps_end[None, :])
-    return _best_assignment(-cost[None], cost[None])[0]
-
-
 def detect_crossings(result: SweepResult):
     """Classify crossing events between every branch pair.
 
@@ -252,54 +247,56 @@ def detect_crossings(result: SweepResult):
     """
     a = result.a
     trajectories = result.trajectories
-    n = len(trajectories)
-    start_levels = np.array([t.start_level for t in trajectories])
-    end_levels = _end_levels(result)
+    values = np.stack([t.values for t in trajectories], axis=1)  # (grid point, branch)
+    # each branch's nearest unperturbed level at a_max, one level per branch
+    cost = np.abs(values[-1][:, None] - result.bare[-1][None, :])
+    end_levels = _best_assignment(-cost[None], cost[None])[0]
+    start_levels = [t.start_level for t in trajectories]
     events = []
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            ti, tj = trajectories[i], trajectories[j]
-            de = ti.energy - tj.energy
-            dg = ti.gamma_half - tj.gamma_half
-            gap = np.hypot(de, dg)
-            both_def = ti.defective & tj.defective
-            exchanged = bool(
-                end_levels[i] == start_levels[j]
-                and end_levels[j] == start_levels[i]
-                and end_levels[i] != start_levels[i]
-            )
+    # tolist: Python ints, which CrossingReport.pair keeps for crossings.json
+    for i, j in np.transpose(pair_indices(len(trajectories))).tolist():
+        ti, tj = trajectories[i], trajectories[j]
+        de = ti.energy - tj.energy
+        dg = ti.gamma_half - tj.gamma_half
+        gap = np.hypot(de, dg)
+        both_def = ti.defective & tj.defective
+        exchanged = bool(
+            end_levels[i] == start_levels[j]
+            and end_levels[j] == start_levels[i]
+            and end_levels[i] != start_levels[i]
+        )
 
-            found = []  # (kind, grid index of a_cr, width differences around it)
-            for start, stop in _runs(both_def):
-                k = start + int(np.argmin(gap[start : stop + 1]))
-                if _mutually_closest(trajectories, i, j, k):
-                    found.append(("coalescence", k, dg[start : stop + 1]))
+        found = []  # (kind, grid index of a_cr, width differences around it)
+        for start, stop in _runs(both_def):
+            k = start + int(np.argmin(gap[start : stop + 1]))
+            if _mutually_closest(values[k], i, j):
+                found.append(("coalescence", k, dg[start : stop + 1]))
 
-            abs_de = np.abs(de)
-            for start, stop in _runs((abs_de < CROSSING_TOL) & ~both_def):
-                k = start + int(np.argmax(np.abs(dg[start : stop + 1])))
-                found.append(("true_energy", k, dg[start : stop + 1]))
+        abs_de = np.abs(de)
+        for start, stop in _runs((abs_de < CROSSING_TOL) & ~both_def):
+            k = start + int(np.argmax(np.abs(dg[start : stop + 1])))
+            found.append(("true_energy", k, dg[start : stop + 1]))
 
-            for k, lo, hi in _valleys(abs_de, CROSSING_TOL):
-                dew, dgw = de[lo : hi + 1], dg[lo : hi + 1]
-                if not ((dew > 0).all() or (dew < 0).all()):
-                    continue  # energy difference changes sign: not avoided
-                if not (dgw[:-1] * dgw[1:] <= 0).any():
-                    continue  # width curves never intersect in the valley
-                found.append(("avoided_energy", k, dgw))
+        for k, lo, hi in _valleys(abs_de, CROSSING_TOL):
+            dew, dgw = de[lo : hi + 1], dg[lo : hi + 1]
+            if not ((dew > 0).all() or (dew < 0).all()):
+                continue  # energy difference changes sign: not avoided
+            if not (dgw[:-1] * dgw[1:] <= 0).any():
+                continue  # width curves never intersect in the valley
+            found.append(("avoided_energy", k, dgw))
 
-            events += [
-                CrossingReport(kind, float(a[k]), (i, j), float(np.abs(near).max()), exchanged)
-                for kind, k, near in found
-            ]
+        events += [
+            CrossingReport(kind, float(a[k]), (i, j), float(np.abs(near).max()), exchanged)
+            for kind, k, near in found
+        ]
 
     events.sort(key=lambda e: (e.a_cr, e.pair))
     return events
 
 
-def _mutually_closest(trajectories, i, j, k) -> bool:
-    values = np.array([t.values[k] for t in trajectories])
+def _mutually_closest(values, i, j) -> bool:
+    """Branches i and j are each other's nearest among the values of one grid point."""
     dist = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(dist, np.inf)
     return int(np.argmin(dist[i])) == j and int(np.argmin(dist[j])) == i

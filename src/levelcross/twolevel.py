@@ -132,8 +132,4 @@ def ep_condition_2level(
 
     if not solutions:
         raise NoEPSolution("; ".join(failures) or "no coalescence branch solvable")
-    deduped: list[tuple[float, float]] = []
-    for sol in solutions:
-        if sol not in deduped:
-            deduped.append(sol)
-    return sorted(deduped)
+    return sorted(set(solutions))

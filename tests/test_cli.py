@@ -705,8 +705,9 @@ def assert_svg_points_match(result):
     )
     for svg, rows in panels:
         want = reference_points(result, rows)
+        rows = np.array(rows, dtype=float)
         sx, sy, _, _ = svgplot._axes(result, rows)
-        px, py = sx(result.a), sy(np.array(rows, dtype=float))
+        px, py = sx(result.a), sy(rows)
         # the panel's point formatter, on every value before decimation
         assert [svgplot._points(px, y) for y in py] == [" ".join(w) for w in want]
         # each drawn polyline is that reference at the points it keeps

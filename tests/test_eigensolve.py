@@ -291,7 +291,7 @@ def reference_roots(coeffs):
 
     p, _ = _reference_horner(coeffs, z)
     floor, _ = _reference_noise_bounds(coeffs, np.abs(z))
-    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p)
+    bad = (np.abs(p) > 1e3 * floor) | ~np.isfinite(p) | ~np.isfinite(floor)
     if bad.any():
         worst = int(np.argmax(np.abs(p).max(axis=1)))
         raise RootConvergenceError(worst, float(np.abs(p[worst]).max()))
@@ -496,7 +496,8 @@ def test_fallback_passes_match_the_full_batch_loop():
             assert np.array_equal(roots, traced_run(reference_roots, coeffs)[1])
             for name, count in row_runs.items():
                 runs[name] += count
-    assert failed == [False, False, True, True]
+    # rows 0 and 1 freeze a root on the start circle, where the noise floor is inf
+    assert failed == [True, True, True, True]
     # every pass ran but the zero denominator's: 1 - newton * repulsion is
     # exactly 0 only where that product rounds to exactly 1, which no input
     # was found to reach (CHANGES.md)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levelcross.eigensolve import SolverError, solve_spectrum_batch
+from levelcross.eigensolve import SolverError, eigenvalues_batch, solve_spectrum_batch
 from levelcross.epfinder import find_ep
 from levelcross.model import SweepGrid, Tunable, build_hamiltonian_batch, scenario_from_dict
 from levelcross.presets import preset
@@ -106,3 +106,31 @@ def test_weakly_coupled_ladder_vectors_are_biorthogonal(order, omega):
     vectors = np.stack([t.vectors for t in result.trajectories], axis=1)
     overlap = np.einsum("mik,mjk->mij", vectors, vectors)
     assert np.abs(overlap - np.eye(order)).max() <= 1e-12
+
+
+# The bound separates a solve from the overflow on every arithmetic path:
+# the control is 4.8e-13 off under the default kernel, 1.4e-12 under
+# Prescott and 2.0e-12 on numpy's X86_V2 baseline (the root accuracy of
+# ROADMAP item 3, not the scale).
+@pytest.mark.parametrize(
+    "scale",
+    [
+        1e4,  # the control: max|H| about 8e4
+        pytest.param(
+            3e4,  # max|H| about 2.4e5
+            marks=solver_fault(
+                "FOUND scaled 8-level Hamiltonians: p and its noise floor overflow on the "
+                "start circle from s = 3e4, and every root freezes there (residual inf)"
+            ),
+        ),
+    ],
+)
+def test_scaled_eight_level_spectrum_matches_lapack(scale):
+    rng = np.random.default_rng(7)
+    c = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+    h = np.diag(scale * np.arange(1.0, 9.0)) + 0.05 * scale * (c + c.T) / 2
+    values = eigenvalues_batch(h[None])[0]
+    lapack = np.linalg.eigvals(h)
+    dist = np.abs(values[:, None] - lapack[None, :])
+    err = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    assert err <= 1e-10 * np.abs(lapack).max()

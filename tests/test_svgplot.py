@@ -61,8 +61,9 @@ def panels(result):
         [-bare[:, i].imag for i in range(bare.shape[1])]
         + [t.gamma_half for t in result.trajectories],
     ):
+        rows = np.array(rows, dtype=float)
         sx, sy, _, _ = svgplot._axes(result, rows)
-        yield sx(result.a), sy(np.array(rows, dtype=float))
+        yield sx(result.a), sy(rows)
 
 
 def sweep(pid, steps):

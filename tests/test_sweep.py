@@ -12,6 +12,7 @@ from levelcross.eigensolve import (
     RootConvergenceError,
     SolverError,
     eigenvalues_batch,
+    pair_indices,
     solve_spectrum_batch,
 )
 from levelcross.cli import main
@@ -271,6 +272,14 @@ def test_best_assignment_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_per_order_tables_refuse_writes(n):
+    # each table is cached once per order and shared by every caller
+    for table in (*pair_indices(n), sweep._permutations(n)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
 
 
 def test_match_branches_prefers_vector_overlap():
