@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csvtext import format_rows
 from .eigensolve import DEFECTIVE_RTOL, ROOT_MAX_ITER, ROOT_RTOL, SolverError
 from .epfinder import GAP_TOL, MAX_REFINE_ITER, SCAN_POINTS, find_ep
 from .expressions import EvalError, ParseError
@@ -33,7 +34,9 @@ from .sweep import CROSSING_TOL, detect_crossings, run_sweep
 
 __all__ = ["main"]
 
-CSV_BLOCK_ROWS = 1024     # rows formatted per write; bounds the text held at once
+# rows formatted per write: bounds the text held at once and keeps the
+# formatter's working arrays in cache
+CSV_BLOCK_ROWS = 1024
 
 
 class _UsageError(Exception):
@@ -160,12 +163,10 @@ def _write_trajectories_csv(path: Path, result) -> None:
         + [b.gamma_half for b in branches]
         + [b.norm_a for b in branches]
     )
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(head) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(head) + "\n").encode("ascii"))
         for lo in range(0, table.shape[0], CSV_BLOCK_ROWS):
-            block = table[lo : lo + CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(table[lo : lo + CSV_BLOCK_ROWS]))
 
 
 def _manifest(command, scenario, outputs, started, extra=None) -> dict:

@@ -73,6 +73,22 @@ def _best_assignment(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     return np.concatenate(best)
 
 
+def _follow(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(m, n) spectrum indices of n branches that start at spectrum
+    indices `start` and move by the (m-1, n) step permutations:
+    idx[t] = steps[t-1][idx[t-1]].
+
+    The steps are composed by log-depth doubling: after the pass with
+    stride s, row t holds the composition of the last min(t, 2s) steps,
+    applied to `start` where they reach row 0."""
+    idx = np.concatenate((start[None], steps))
+    s = 1
+    while s < len(idx):
+        idx[s:] = np.take_along_axis(idx[s:], idx[:-s], axis=1)
+        s *= 2
+    return idx
+
+
 def _step_permutations(batch: SpectrumBatch) -> np.ndarray:
     """(m-1, n) permutations: step[t][i] is the spectrum index at point
     t+1 that continues spectrum index i at point t.
@@ -174,10 +190,7 @@ def run_sweep(scenario: Scenario) -> SweepResult:
     proximity = np.abs(batch.values[0][:, None] - eps0[None, :])
     assign = _best_assignment(component.T[None], proximity.T[None])[0]  # level -> spectrum idx
 
-    idx = np.empty((m, n), dtype=int)
-    idx[0] = assign[level_order]
-    for t in range(1, m):
-        idx[t] = step_perm[t - 1][idx[t - 1]]
+    idx = _follow(assign[level_order], step_perm)
 
     trajectories = []
     for b in range(n):

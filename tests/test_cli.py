@@ -24,7 +24,7 @@ from levelcross.model import (
     save_scenario,
     scenario_to_dict,
 )
-from levelcross.presets import preset
+from levelcross.presets import PRESET_IDS, preset
 from levelcross.svgplot import energies_svg, widths_svg
 from levelcross.sweep import run_sweep
 
@@ -772,7 +772,7 @@ def sweep_2001(pid):
     return run_sweep(replace(scenario, sweep=grid))
 
 
-@pytest.mark.parametrize("pid", ["fig4", "fig9"])
+@pytest.mark.parametrize("pid", PRESET_IDS)
 def test_csv_rows_match_the_per_value_formatter(tmp_path, pid):
     result = sweep_2001(pid)
     _write_trajectories_csv(tmp_path / "t.csv", result)

@@ -550,3 +550,33 @@ def test_detect_crossings_matches_the_per_point_scan(pid, monkeypatch):
     monkeypatch.setattr("levelcross.sweep._runs", reference_runs)
     monkeypatch.setattr("levelcross.sweep._valleys", reference_valleys)
     assert detect_crossings(res) == events
+
+
+def reference_follow(start, steps):
+    """The per-point loop that _follow replaces."""
+    idx = np.empty((len(steps) + 1, len(start)), dtype=int)
+    idx[0] = start
+    for t in range(1, len(idx)):
+        idx[t] = steps[t - 1][idx[t - 1]]
+    return idx
+
+
+@pytest.mark.parametrize("pid", [*PRESET_IDS, "twin"])
+def test_branch_indices_match_the_per_point_loop(pid, monkeypatch):
+    sc = twin_fig1() if pid == "twin" else preset(pid)
+    follow = sweep._follow
+    calls = []
+
+    def recorded(start, steps):
+        calls.append((start, steps, follow(start, steps)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("levelcross.sweep._follow", recorded)
+    run_sweep(replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 2001)))
+    [(start, steps, got)] = calls
+    assert steps.shape == (2000, sc.n)
+    assert np.array_equal(got, reference_follow(start, steps))
+    # shorter grids, at and around the lengths where the doubling adds a pass
+    for m in (1, 2, 3, 1024, 1025):
+        head = steps[: m - 1]
+        assert np.array_equal(follow(start, head), reference_follow(start, head))
