@@ -40,7 +40,7 @@ scenario = preset("fig1")
 result = run_sweep(scenario)
 h = build_hamiltonian_batch(scenario, result.a)
 plus, minus = two_level_eigenvalues(h[:, 0, 0], h[:, 1, 1], h[:, 0, 1])
-n0, n1 = (t.values for t in result.trajectories)
+n0, n1 = result.branches.values.T  # (branch, grid point)
 direct = np.maximum(np.abs(n0 - plus), np.abs(n1 - minus))
 swapped = np.maximum(np.abs(n0 - minus), np.abs(n1 - plus))
 dev = np.minimum(direct, swapped).max()

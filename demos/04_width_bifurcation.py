@@ -24,17 +24,17 @@ print(f"  energy split {abs(values[0].real - values[1].real):.2e},"
 
 # along the sweep the split is localized around the crossing
 result = run_sweep(scenario)
-g = np.stack([t.gamma_half for t in result.trajectories])
-split = np.abs(g[0] - g[1])
+g = -result.branches.values.imag  # (grid point, branch)
+split = np.abs(g[:, 0] - g[:, 1])
 k = int(np.argmax(split))
 print(f"  max width split {split[k]:.5f} at a = {result.a[k]:.5f};"
       f" split at the ends {split[0]:.2e}, {split[-1]:.2e}")
 
 
 def max_width_split(result):
-    g = np.stack([t.gamma_half for t in result.trajectories])
-    iu, ju = np.triu_indices(g.shape[0], 1)
-    return np.abs(g[iu] - g[ju]).max()
+    g = -result.branches.values.imag
+    iu, ju = np.triu_indices(g.shape[1], 1)
+    return np.abs(g[:, iu] - g[:, ju]).max()
 
 
 # four levels: scaling Im(omega) down by 10 tames the bifurcation

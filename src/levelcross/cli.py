@@ -149,20 +149,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_trajectories_csv(path: Path, result) -> None:
-    branches = result.trajectories
-    n = len(branches)
+    values = result.branches.values  # (grid point, branch)
+    n = values.shape[1]
     head = (
         ["a"]
         + [f"E_{k + 1}" for k in range(n)]
         + [f"Gamma_half_{k + 1}" for k in range(n)]
         + [f"A_{k + 1}" for k in range(n)]
     )
-    table = np.column_stack(
-        [result.a]
-        + [b.energy for b in branches]
-        + [b.gamma_half for b in branches]
-        + [b.norm_a for b in branches]
-    )
+    table = np.column_stack((result.a, values.real, -values.imag, result.branches.norm_a))
     with open(path, "wb") as fh:
         fh.write((",".join(head) + "\n").encode("ascii"))
         for lo in range(0, table.shape[0], CSV_BLOCK_ROWS):

@@ -409,10 +409,12 @@ def _back_substitute(u: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class SpectrumBatch:
-    """Spectra over a parameter batch, sorted by (Re, Im) per point.
+    """Spectra over a parameter batch, one row per point.
 
     values (m, n); vectors (m, n, n) with vectors[p, i] belonging to
     values[p, i]; defective (m, n); norm_a (m, n); residual (m,).
+    solve_spectrum_batch sorts each row by (Re, Im); a SweepResult's
+    branches has its columns in branch order instead.
     """
 
     values: np.ndarray

@@ -23,6 +23,7 @@ on scalars and ndarrays through the same numpy code path.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -114,6 +115,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -129,42 +132,52 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> ExprAst:
+    def node(self, tok, *children) -> tuple[ExprAst, int]:
+        """The Neg (one child) or BinOp (two children) of operator token tok."""
+        depth = 1 + max(d for _, d in children)
+        # evaluating and rendering recurse once per level: leave the caller
+        # half of the recursion limit
+        if depth > sys.getrecursionlimit() // 2:
+            raise ParseError("expression nested too deeply", tok[2])
+        args = [c for c, _ in children]
+        return (Neg(*args) if len(args) == 1 else BinOp(tok[1], *args)), depth
+
+    def expr(self) -> tuple[ExprAst, int]:
         node = self.term()
         while (tok := self.peek()) and tok[1] in "+-":
             self.pos += 1
-            node = BinOp(tok[1], node, self.term())
+            node = self.node(tok, node, self.term())
         return node
 
-    def term(self) -> ExprAst:
+    def term(self) -> tuple[ExprAst, int]:
         node = self.factor()
         while (tok := self.peek()) and tok[1] in "*/":
             self.pos += 1
-            node = BinOp(tok[1], node, self.factor())
+            node = self.node(tok, node, self.factor())
         return node
 
-    def factor(self) -> ExprAst:
+    def factor(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok and tok[1] == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return self.node(tok, self.factor())
         return self.power()
 
-    def power(self) -> ExprAst:
+    def power(self) -> tuple[ExprAst, int]:
         node = self.atom()
         if (tok := self.peek()) and tok[1] == "^":
             self.pos += 1
-            node = BinOp("^", node, self.factor())
+            node = self.node(tok, node, self.factor())
         return node
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> tuple[ExprAst, int]:
         kind, lexeme, offset = self.take()
         if kind == "num":
-            return Num(float(lexeme))
+            return Num(float(lexeme)), 0
         if kind == "name":
             if lexeme != "a":
                 raise ParseError(f"unknown identifier {lexeme!r}", offset)
-            return Var()
+            return Var(), 0
         if lexeme == "(":
             node = self.expr()
             tok = self.peek()
@@ -180,13 +193,14 @@ def parse_expr(text: str) -> ExprAst:
 
     Raises ParseError (with a byte offset) for empty input, unknown
     identifiers, unbalanced parentheses, trailing garbage, and nesting
-    deeper than the interpreter's recursion limit allows.
+    deeper than the interpreter's recursion limit allows: a tree more
+    than half the limit deep, such as a flat sum of that many terms.
     """
     parser = _Parser(text)
     if parser.peek() is None:
         raise ParseError("empty expression", 0)
     try:
-        node = parser.expr()
+        node, _ = parser.expr()
     except RecursionError:
         offset = parser.tokens[parser.pos - 1][2]  # the opener that went too deep
         raise ParseError("expression nested too deeply", offset) from None

@@ -306,7 +306,7 @@ def scenario_from_dict(obj) -> Scenario:
         label = str(obj.get("label", ""))
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:  # a list for a mapping
         raise ScenarioError(f"malformed scenario: {err}") from err
     return Scenario(label=label, levels=levels, coupling=coupling, sweep=sweep)
 
@@ -321,7 +321,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, RecursionError, ValueError) as err:  # ValueError: not UTF-8, not JSON
         raise ScenarioError(f"cannot read scenario {path}: {err}") from err
     return scenario_from_dict(obj)
 

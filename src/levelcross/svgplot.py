@@ -128,8 +128,10 @@ def _axes(result: SweepResult, rows: np.ndarray):
     return sx, sy, (x_lo, x_hi), (y_lo, y_hi)
 
 
-def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
-    rows = np.array(bare_rows + branch_rows, dtype=float)
+def _panel(result: SweepResult, ylabel: str, branches: np.ndarray, bare: np.ndarray) -> str:
+    """The panel of the (m, n) ``branches`` and ``bare`` tables, one line per column."""
+    rows = np.concatenate((bare, branches), axis=1).T
+    n_bare, n_branches = bare.shape[1], branches.shape[1]
     sx, sy, x_range, y_range = _axes(result, rows)
     px, py = sx(result.a), sy(rows)
     keep = _keep(px, py)
@@ -164,21 +166,21 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
     )
 
     dashed = 'stroke="#999" stroke-width="1" stroke-dasharray="6 4"'
-    for pts in points[: len(bare_rows)]:
+    for pts in points[:n_bare]:
         parts.append(f'<polyline fill="none" {dashed} points="{pts}"/>')
-    for k, pts in enumerate(points[len(bare_rows) :]):
+    for k, pts in enumerate(points[n_bare:]):
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{pts}"/>')
 
     lx, ly = _PX1 + 12, _PY0 + 8
-    for k in range(len(branch_rows)):
+    for k in range(n_branches):
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(
             f'<line x1="{lx}" y1="{ly + 18 * k}" x2="{lx + 22}" y2="{ly + 18 * k}"'
             f' stroke="{color}" stroke-width="1.6"/>'
         )
         parts.append(f'<text x="{lx + 28}" y="{ly + 18 * k + 4}">branch {k + 1}</text>')
-    ly += 18 * len(branch_rows)
+    ly += 18 * n_branches
     parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" {dashed}/>')
     parts.append(f'<text x="{lx + 28}" y="{ly + 4}">unperturbed</text>')
     parts.append("</svg>")
@@ -187,19 +189,9 @@ def _panel(result: SweepResult, ylabel: str, branch_rows, bare_rows) -> str:
 
 def energies_svg(result: SweepResult) -> str:
     """Top panel: branch energies E_i(a) with dashed e_i(a) overlays."""
-    return _panel(
-        result,
-        "E",
-        [t.energy for t in result.trajectories],
-        [result.bare[:, i].real for i in range(result.bare.shape[1])],
-    )
+    return _panel(result, "E", result.branches.values.real, result.bare.real)
 
 
 def widths_svg(result: SweepResult) -> str:
     """Bottom panel: half-widths with dashed unperturbed overlays."""
-    return _panel(
-        result,
-        "Γ/2",
-        [t.gamma_half for t in result.trajectories],
-        [-result.bare[:, i].imag for i in range(result.bare.shape[1])],
-    )
+    return _panel(result, "Γ/2", -result.branches.values.imag, -result.bare.imag)

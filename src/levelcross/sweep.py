@@ -9,9 +9,10 @@ point, where overlaps are ill-defined and eigenvalue proximity is the
 only sensible objective.
 
 Branches are numbered by the unperturbed levels sorted ascending in
-(e_i(a_min), gamma_i/2, i). Each Trajectory records its start level: the
-level assignment at a_min maximizes the summed eigenvector components,
-with eigenvalue proximity to the bare levels breaking ties. At a_max the
+(e_i(a_min), gamma_i/2, i). A SweepResult keeps the solved spectrum once,
+its columns in branch order, and each branch's start level: the level
+assignment at a_min maximizes the summed eigenvector components, with
+eigenvalue proximity to the bare levels breaking ties. At a_max the
 exchange criteria assign each branch the bare level its eigenvalue is
 nearest to, and compare the two ends.
 """
@@ -108,7 +109,8 @@ def _step_permutations(batch: SpectrumBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One branch of the spectrum followed across the sweep grid.
+    """One branch of the spectrum followed across the sweep grid: views
+    of column branch_id of the SweepResult's tables.
 
     values holds its complex eigenvalues E - i Gamma/2 at every grid
     point. start_level is the 0-based unperturbed level the branch is
@@ -145,16 +147,29 @@ class CrossingReport:
 class SweepResult:
     """Branch-tracked sweep output.
 
-    bare holds the unperturbed complex energies e_i(a) - i gamma_i/2,
-    level-indexed columns; crossing classification compares branch
-    endpoints against its last row.
+    branches is the solved spectrum with column b of every per-point
+    table holding branch b: branches.values[p, b] is its eigenvalue at
+    grid point p and branches.vectors[p, b] its eigenvector. start_level
+    (n,) is each branch's level at a_min. bare holds the unperturbed
+    complex energies e_i(a) - i gamma_i/2, level-indexed columns;
+    crossing classification compares branch endpoints against its last
+    row.
     """
 
     scenario: Scenario
     a: np.ndarray
-    trajectories: tuple[Trajectory, ...]
+    branches: SpectrumBatch
+    start_level: np.ndarray
     bare: np.ndarray
-    residual: np.ndarray
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """One Trajectory per branch, in branch order, viewing the tables."""
+        t = self.branches
+        return tuple(
+            Trajectory(b, level, t.values[:, b], t.vectors[:, b], t.norm_a[:, b], t.defective[:, b])
+            for b, level in enumerate(self.start_level.tolist())
+        )
 
     def by_start_level(self, level: int) -> Trajectory:
         for trajectory in self.trajectories:
@@ -171,13 +186,11 @@ def run_sweep(scenario: Scenario) -> SweepResult:
     the grid point a failure names, do not depend on the block size.
     """
     a = scenario.sweep.points()
-    m, n = a.shape[0], scenario.n
     batch = solve_at(
         solve_spectrum_batch,
         build_hamiltonian_batch(scenario, a),
         lambda k: f"grid point a={float(a[k])!r}",
     )
-    rows = np.arange(m)
 
     step_perm = _step_permutations(batch)
 
@@ -185,33 +198,20 @@ def run_sweep(scenario: Scenario) -> SweepResult:
     bare = bare_levels(scenario, a)
     eps0 = bare[0]
     half_widths = -eps0.imag
-    level_order = np.lexsort((np.arange(n), half_widths, eps0.real))
+    level_order = np.lexsort((np.arange(scenario.n), half_widths, eps0.real))
     component = np.abs(batch.vectors[0])                       # (spectrum, level)
     proximity = np.abs(batch.values[0][:, None] - eps0[None, :])
     assign = _best_assignment(component.T[None], proximity.T[None])[0]  # level -> spectrum idx
 
-    idx = _follow(assign[level_order], step_perm)
-
-    trajectories = []
-    for b in range(n):
-        seq = idx[:, b]
-        trajectories.append(
-            Trajectory(
-                branch_id=b,
-                start_level=int(level_order[b]),
-                values=batch.values[rows, seq],
-                vectors=batch.vectors[rows, seq],
-                norm_a=batch.norm_a[rows, seq],
-                defective=batch.defective[rows, seq],
-            )
-        )
-    return SweepResult(
-        scenario=scenario,
-        a=a,
-        trajectories=tuple(trajectories),
-        bare=bare,
+    idx = _follow(assign[level_order], step_perm)  # (grid point, branch) -> spectrum index
+    branches = SpectrumBatch(
+        values=np.take_along_axis(batch.values, idx, axis=1),
+        vectors=np.take_along_axis(batch.vectors, idx[:, :, None], axis=1),
+        defective=np.take_along_axis(batch.defective, idx, axis=1),
+        norm_a=np.take_along_axis(batch.norm_a, idx, axis=1),
         residual=batch.residual,
     )
+    return SweepResult(scenario, a, branches, start_level=level_order, bare=bare)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +259,20 @@ def detect_crossings(result: SweepResult):
     a_cr marks the smallest eigenvalue gap.
     """
     a = result.a
-    trajectories = result.trajectories
-    values = np.stack([t.values for t in trajectories], axis=1)  # (grid point, branch)
+    values, defective = result.branches.values, result.branches.defective  # (grid point, branch)
+    energy, gamma_half = values.real, -values.imag
     # each branch's nearest unperturbed level at a_max, one level per branch
     cost = np.abs(values[-1][:, None] - result.bare[-1][None, :])
     end_levels = _best_assignment(-cost[None], cost[None])[0]
-    start_levels = [t.start_level for t in trajectories]
+    start_levels = result.start_level
     events = []
 
     # tolist: Python ints, which CrossingReport.pair keeps for crossings.json
-    for i, j in np.transpose(pair_indices(len(trajectories))).tolist():
-        ti, tj = trajectories[i], trajectories[j]
-        de = ti.energy - tj.energy
-        dg = ti.gamma_half - tj.gamma_half
+    for i, j in np.transpose(pair_indices(values.shape[1])).tolist():
+        de = energy[:, i] - energy[:, j]
+        dg = gamma_half[:, i] - gamma_half[:, j]
         gap = np.hypot(de, dg)
-        both_def = ti.defective & tj.defective
+        both_def = defective[:, i] & defective[:, j]
         exchanged = bool(
             end_levels[i] == start_levels[j]
             and end_levels[j] == start_levels[i]

@@ -48,7 +48,7 @@ def test_criterion_01_two_level_closed_form_agreement(two_level_runs):
     for pid, result in results.items():
         h = build_hamiltonian_batch(result.scenario, result.a)
         plus, minus = two_level_eigenvalues(h[:, 0, 0], h[:, 1, 1], h[:, 0, 1])
-        n0, n1 = (t.values for t in result.trajectories)
+        n0, n1 = result.branches.values.T
         direct = np.maximum(np.abs(n0 - plus), np.abs(n1 - minus))
         swapped = np.maximum(np.abs(n0 - minus), np.abs(n1 - plus))
         worst = max(worst, float(np.minimum(direct, swapped).max()))
@@ -112,9 +112,7 @@ def test_criterion_04_state_exchange(two_level_runs):
 
 def test_criterion_05_width_plateau(four_level_runs):
     result = four_level_runs("fig5")
-    ends = np.array(
-        [[t.gamma_half[0], t.gamma_half[-1]] for t in result.trajectories]
-    )
+    ends = -result.branches.values[[0, -1]].imag
     worst = float(np.abs(ends - 0.5).max())
     print(f"criterion 5: max endpoint half-width deviation from 0.5 = {worst:.2e}")
     assert worst < 1e-3
@@ -155,7 +153,7 @@ def _max_spectrum_deviation(result):
     """Largest distance at any grid point between the tracked eigenvalues
     and numpy.linalg.eigvals, compared as sets (best of all pairings)."""
     ref = np.linalg.eigvals(build_hamiltonian_batch(result.scenario, result.a))
-    ours = np.stack([t.values for t in result.trajectories], axis=1)
+    ours = result.branches.values
     pairings = np.array(list(permutations(range(ours.shape[1]))))
     dev = np.abs(ours[:, None, :] - ref[:, pairings]).max(axis=2).min(axis=1)
     return float(dev.max())
@@ -224,9 +222,9 @@ def test_criterion_07_selfenergy_shift(four_level_runs):
 
 
 def _max_width_split(result):
-    g = np.stack([t.gamma_half for t in result.trajectories])
-    iu, ju = np.triu_indices(g.shape[0], 1)
-    return float(np.abs(g[iu] - g[ju]).max())
+    g = -result.branches.values.imag
+    iu, ju = np.triu_indices(g.shape[1], 1)
+    return float(np.abs(g[:, iu] - g[:, ju]).max())
 
 
 def test_criterion_08_imaginary_coupling_scaling(four_level_runs):

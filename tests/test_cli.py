@@ -240,6 +240,7 @@ DEEP_ENERGIES = {
     "3000 parentheses": "(" * 3000 + "a" + ")" * 3000,
     "3000 minus signs": "-" * 3000 + "a",
     "3000 powers": "^".join(["a"] * 3000),
+    "5000 terms": "+".join(["a"] * 5000),
 }
 
 
@@ -374,6 +375,7 @@ FAULT_MESSAGES = {
     "sweep 3000 parentheses": "expression nested too deeply at offset",
     "sweep 3000 minus signs": "expression nested too deeply at offset",
     "sweep 3000 powers": "expression nested too deeply at offset",
+    "sweep 5000 terms": "expression nested too deeply at offset",
     "sweep steps 2.9": "steps: expected an integer, got 2.9",
     "sweep steps true": "steps: expected an integer, got True",
     "sweep steps Infinity": "steps: expected an integer, got inf",
@@ -400,6 +402,35 @@ def test_input_faults_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, c
     assert FAULT_MESSAGES[case] in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def fig1_json_with(**fields) -> bytes:
+    obj = scenario_to_dict(preset("fig1"))
+    obj.update(fields)
+    return json.dumps(obj).encode()
+
+
+# scenario files that json or scenario_from_dict once let through as a traceback
+UNREADABLE_SCENARIOS = {
+    "not UTF-8": b"\xff\xfe" + fig1_json_with(),
+    "JSON nested 10^5 deep": b"[" * 10**5 + b"]" * 10**5,
+    "coupling a list": fig1_json_with(coupling=[]),
+    "selfenergy a list": fig1_json_with(
+        coupling={**scenario_to_dict(preset("fig1"))["coupling"], "selfenergy": [1]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_SCENARIOS))
+def test_unreadable_scenario_files_exit_1_with_one_error_line(tmp_path, capsys, case):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(UNREADABLE_SCENARIOS[case])
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def raise_solver_error(*args, **kwargs):
@@ -646,20 +677,15 @@ ROUNDING = [0.125, 0.375, 0.625, 0.875, 1.005, 2.675, 0.015, 1.0 / 3.0, -2.5e-17
 
 
 def reference_csv(result) -> bytes:
-    branches = result.trajectories
-    n = len(branches)
+    values = result.branches.values
+    n = values.shape[1]
     head = (
         ["a"]
         + [f"E_{k + 1}" for k in range(n)]
         + [f"Gamma_half_{k + 1}" for k in range(n)]
         + [f"A_{k + 1}" for k in range(n)]
     )
-    cols = (
-        [result.a]
-        + [b.energy for b in branches]
-        + [b.gamma_half for b in branches]
-        + [b.norm_a for b in branches]
-    )
+    cols = [result.a, *values.real.T, *(-values.imag.T), *result.branches.norm_a.T]
     lines = [",".join(head)]
     for k in range(result.a.size):
         lines.append(",".join(f"{col[k]:.17g}" for col in cols))
@@ -694,13 +720,11 @@ def assert_svg_points_match(result):
     panels = (  # each panel draws its bare levels first
         (
             energies_svg(result),
-            [bare[:, i].real for i in range(bare.shape[1])]
-            + [t.energy for t in result.trajectories],
+            [*bare.real.T, *result.branches.values.real.T],
         ),
         (
             widths_svg(result),
-            [-bare[:, i].imag for i in range(bare.shape[1])]
-            + [t.gamma_half for t in result.trajectories],
+            [*(-bare.imag.T), *(-result.branches.values.imag.T)],
         ),
     )
     for svg, rows in panels:
@@ -717,14 +741,14 @@ def assert_svg_points_match(result):
 
 
 def hand_made_result(a, energies, widths, norms, bare):
-    trajectories = tuple(
-        SimpleNamespace(energy=np.array(e), gamma_half=np.array(g), norm_a=np.array(n))
-        for e, g, n in zip(energies, widths, norms)
-    )
+    """A stand-in SweepResult with one row of energies, widths and norms per branch."""
+    values = np.empty((len(a), len(energies)), dtype=complex)
+    values.real, values.imag = np.transpose(energies), -np.transpose(widths)
     return SimpleNamespace(
         scenario=SimpleNamespace(label="hand-made"),
         a=np.array(a),
-        trajectories=trajectories,
+        branches=SimpleNamespace(values=values, norm_a=np.transpose(norms)),
+        start_level=np.arange(len(energies)),
         bare=np.array(bare, dtype=complex),
     )
 

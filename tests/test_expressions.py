@@ -170,3 +170,26 @@ def test_roundtrip_parenthesized_power_exponent():
     tree = parse_expr("2^(a+1)")
     assert to_text(tree) == "2.0^(a + 1.0)"
     assert parse_expr(to_text(tree)) == tree
+
+
+def test_long_flat_sum_is_refused_at_parse_time():
+    # a flat sum builds a left-deep tree, one level per term, that the
+    # parser builds in a loop; evaluating it would recurse 5000 deep
+    text = " + ".join(["a"] * 5000)
+    with pytest.raises(ParseError, match=r"expression nested too deeply at offset \d+$") as err:
+        parse_expr(text)
+    assert text[err.value.offset] == "+"
+
+
+def test_500_term_sum_evaluates_in_order_and_round_trips():
+    coeffs = [1.0 / (k + 3) for k in range(499)]
+    text = "a" + "".join(f" + {c!r}*a" for c in coeffs)
+    tree = parse_expr(text)
+    a = np.linspace(-1.0, 2.0, 7)
+    want = a.copy()
+    for c in coeffs:  # left to right, as the left-deep tree adds
+        want = want + c * a
+    assert eval_expr(tree, a).tobytes() == want.tobytes()
+    # a tree this deep is past what == can recurse through; compare its text
+    assert to_text(tree) == text
+    assert to_text(parse_expr(text)) == text

@@ -103,7 +103,7 @@ def ladder_spec(order, omega):
 )
 def test_weakly_coupled_ladder_vectors_are_biorthogonal(order, omega):
     result = run_sweep(scenario_from_dict(ladder_spec(order, omega)))
-    vectors = np.stack([t.vectors for t in result.trajectories], axis=1)
+    vectors = result.branches.vectors
     overlap = np.einsum("mik,mjk->mij", vectors, vectors)
     assert np.abs(overlap - np.eye(order)).max() <= 1e-12
 

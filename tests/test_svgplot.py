@@ -56,12 +56,11 @@ def reference_keep(px, py):
 def panels(result):
     """Exact pixel coordinates (before the 0.01 px rounding) of both panels' polylines."""
     bare = result.bare
+    values = result.branches.values
     for rows in (
-        [bare[:, i].real for i in range(bare.shape[1])] + [t.energy for t in result.trajectories],
-        [-bare[:, i].imag for i in range(bare.shape[1])]
-        + [t.gamma_half for t in result.trajectories],
+        np.concatenate((bare.real.T, values.real.T)),
+        np.concatenate((-bare.imag.T, -values.imag.T)),
     ):
-        rows = np.array(rows, dtype=float)
         sx, sy, _, _ = svgplot._axes(result, rows)
         yield sx(result.a), sy(rows)
 
@@ -162,7 +161,7 @@ def test_flat_width_range_is_padded():
     scenario = with_profile(preset("fig1"), "constant")
     levels = tuple(replace(level, half_width=0.5) for level in scenario.levels)
     result = run_sweep(replace(scenario, levels=levels, sweep=SweepGrid(0.0, 1.5, 101)))
-    widths = np.array([t.gamma_half for t in result.trajectories])
+    widths = -result.branches.values.imag
     assert np.ptp(widths) < 1e-12
     svg = ET.fromstring(svgplot.widths_svg(result))
     ns = "{http://www.w3.org/2000/svg}"

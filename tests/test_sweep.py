@@ -2,7 +2,7 @@
 
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from levelcross.eigensolve import (
     BiorthogonalityError,
     RootConvergenceError,
     SolverError,
+    SpectrumBatch,
     eigenvalues_batch,
     pair_indices,
     solve_spectrum_batch,
@@ -103,7 +104,7 @@ def test_decoupled_crossing_events():
 def test_grid_point_true_crossing_zero_split():
     sc = scenario(["1 - a", "a"], [0.5, 0.5], grid=(0.0, 1.0, 3))
     res = run_sweep(sc)
-    assert not any(t.defective.any() for t in res.trajectories)
+    assert not res.branches.defective.any()
     events = detect_crossings(res)
     assert len(events) == 1
     ev = events[0]
@@ -134,7 +135,7 @@ def test_avoided_crossing_with_exchange():
     assert abs(ev.a_cr - 2.0 / 3.0) < 0.01
     assert 0.0 < ev.max_width_split <= 0.1 + 1e-12
     assert ev.exchange_detected
-    assert not any(t.defective.any() for t in res.trajectories)
+    assert not res.branches.defective.any()
 
 
 def test_imaginary_coupling_true_energy_interval():
@@ -150,7 +151,7 @@ def test_imaginary_coupling_true_energy_interval():
     ev = events[0]
     assert abs(ev.a_cr - 2.0 / 3.0) < 0.01
     assert 0.09 < ev.max_width_split <= 0.1
-    assert not any(t.defective.any() for t in res.trajectories)
+    assert not res.branches.defective.any()
 
 
 def test_grid_point_on_coalescence_is_reported():
@@ -168,7 +169,7 @@ def test_grid_point_on_coalescence_is_reported():
     assert ev.pair == (0, 1)
     assert ev.max_width_split == 0.0
     k = np.argmin(np.abs(res.a - 0.6))
-    assert all(t.defective[k] for t in res.trajectories)
+    assert res.branches.defective[k].all()
     first, second = res.trajectories
     assert first.values[k] == second.values[k]
 
@@ -184,7 +185,7 @@ def test_branch_values_cover_the_spectrum():
     res = run_sweep(sc)
     h = build_hamiltonian_batch(sc, res.a)
     raw = eigenvalues_batch(h)
-    tracked = np.stack([t.values for t in res.trajectories], axis=1)
+    tracked = res.branches.values
     order_raw = np.lexsort((raw.imag, raw.real), axis=1)
     order_tracked = np.lexsort((tracked.imag, tracked.real), axis=1)
     rows = np.arange(raw.shape[0])[:, None]
@@ -199,12 +200,10 @@ def test_block_size_is_invisible(monkeypatch):
     whole = run_sweep(sc)
     monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", 16)  # 7 blocks, not 1
     blocked = run_sweep(sc)
-    for tw, tb in zip(whole.trajectories, blocked.trajectories):
-        assert np.array_equal(tw.values, tb.values)
-        assert np.array_equal(tw.vectors, tb.vectors)
-        assert np.array_equal(tw.norm_a, tb.norm_a)
-        assert np.all(tw.norm_a >= 1.0 - 1e-12)
-        assert np.array_equal(tw.defective, tb.defective)
+    for field in fields(SpectrumBatch):
+        name = field.name
+        assert np.array_equal(getattr(whole.branches, name), getattr(blocked.branches, name)), name
+    assert np.all(whole.branches.norm_a >= 1.0 - 1e-12)
 
 
 def twin_fig1():
@@ -580,3 +579,26 @@ def test_branch_indices_match_the_per_point_loop(pid, monkeypatch):
     for m in (1, 2, 3, 1024, 1025):
         head = steps[: m - 1]
         assert np.array_equal(follow(start, head), reference_follow(start, head))
+
+
+@pytest.mark.parametrize("pid", [*PRESET_IDS, "twin"])
+def test_branch_tables_are_the_per_point_gather(pid, monkeypatch):
+    sc = twin_fig1() if pid == "twin" else preset(pid)
+    step, follow = sweep._step_permutations, sweep._follow
+    seen = {}
+    monkeypatch.setattr(
+        "levelcross.sweep._step_permutations", lambda batch: step(seen.setdefault("batch", batch))
+    )
+    monkeypatch.setattr(
+        "levelcross.sweep._follow", lambda start, steps: seen.setdefault("idx", follow(start, steps))
+    )
+    result = run_sweep(replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, 2001)))
+    batch, idx = seen["batch"], seen["idx"]
+    rows = np.arange(2001)
+    assert result.branches.residual.tobytes() == batch.residual.tobytes()
+    for name in ("values", "vectors", "defective", "norm_a"):
+        table = getattr(result.branches, name)
+        for b, trajectory in enumerate(result.trajectories):
+            want = getattr(batch, name)[rows, idx[:, b]]
+            assert table[:, b].tobytes() == want.tobytes(), (name, b)
+            assert np.shares_memory(getattr(trajectory, name), table[:, b]), (name, b)
