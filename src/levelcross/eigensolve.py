@@ -130,6 +130,15 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomials of a matrix stack.
 
     h: (m, n, n) -> coefficients (m, n+1), ascending powers, c[n] = 1.
+
+    The recursion M_1 = I, M_k = H M_{k-1} + c[n-k+1] I, c[n-k] =
+    -tr(H M_k) / k takes h itself for the product H M_1 at k = 2. h @ I
+    has h's bits but for the sign of a zero (a -0.0 entry comes back
+    +0.0); such a sign can only decide the sign of a zero sum, and each
+    coefficient is a trace that einsum sums from +0, so the coefficients
+    keep the bits of the loop from I (tests/test_eigensolve.py keeps it
+    as a reference). An n = 2 stack runs no BLAS product. A row with a
+    non-finite entry gets non-finite coefficients either way.
     """
     h = np.asarray(h, dtype=complex)
     m, n = h.shape[0], h.shape[1]
@@ -138,12 +147,11 @@ def char_poly_batch(h: np.ndarray) -> np.ndarray:
     coeffs = np.zeros((m, n + 1), dtype=complex)
     coeffs[:, n] = 1.0
     eye = np.eye(n, dtype=complex)
-    work = np.broadcast_to(eye, (m, n, n)).copy()
     c = -np.einsum("mii->m", h)
     coeffs[:, n - 1] = c
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the caller's to judge
         for k in range(2, n + 1):
-            work = h @ work + c[:, None, None] * eye
+            work = (h if k == 2 else h @ work) + c[:, None, None] * eye
             c = -np.einsum("mij,mji->m", h, work) / k
             coeffs[:, n - k] = c
     return coeffs
@@ -467,7 +475,10 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
 
     Enforces the biorthogonality contract |v_i . v_j| < BIORTH_TOL for
     pairs separated by more than GAP_GUARD (both non-defective); a
-    violation raises BiorthogonalityError naming the batch index.
+    violation raises BiorthogonalityError naming the batch index, the
+    first point with the largest checked overlap. The gaps are computed
+    only at the points whose largest off-diagonal overlap reaches
+    BIORTH_TOL, since no other point can fail.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -510,11 +521,16 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     hv = np.einsum("mij,mkj->mki", h, vectors)
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
 
+    # i = j is never checked (its gap is 0), so only points whose largest
+    # off-diagonal overlap reaches BIORTH_TOL, or is NaN, can fail
     overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
-    regular = ~defective
-    gap = np.abs(values[:, :, None] - values[:, None, :])  # 0 on the diagonal: i = j unchecked
-    checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
-    worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
+    overlap[:, np.arange(n), np.arange(n)] = 0.0
+    worst = np.zeros(m)
+    if (suspect := np.flatnonzero(~(overlap.max(axis=(1, 2)) < BIORTH_TOL))).size:
+        near, regular = values[suspect], ~defective[suspect]
+        gap = np.abs(near[:, :, None] - near[:, None, :])
+        checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+        worst[suspect] = np.where(checked, overlap[suspect], 0.0).max(axis=(1, 2))
     k = int(np.argmax(worst))
     if worst[k] >= BIORTH_TOL:
         raise BiorthogonalityError(k, float(worst[k]))

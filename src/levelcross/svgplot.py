@@ -10,7 +10,8 @@ points it needs at that resolution: Douglas-Peucker (Cartographica
 10:112, 1973) in pixel space drops every point that lies within
 TOLERANCE_PX, half the printed quantum, of the segment joining the
 points kept around it. The first and last point of each polyline, and
-every non-finite point with its neighbours, are always kept.
+every non-finite point with its neighbours, are always kept. Each pass
+of the simplifier costs only the points still undecided.
 `trajectories.csv` carries every grid point.
 """
 
@@ -70,6 +71,11 @@ def _keep(px, py) -> np.ndarray:
     one numpy pass splits every open segment of every row. Non-finite
     points and their neighbours are kept up front, so each segment has
     finite ends, and a NaN or infinite distance never drops a point.
+
+    The open points' coordinates are carried from pass to pass,
+    compacted with their indices, and each segment's values reach its
+    points by np.repeat; the division runs unmasked unless a segment has
+    length 0.
     """
     px = np.broadcast_to(px, py.shape)
     bad = ~(np.isfinite(px) & np.isfinite(py))
@@ -79,31 +85,36 @@ def _keep(px, py) -> np.ndarray:
     keep[:, [0, -1]] = True
     x, y, flat = px.ravel(), py.ravel(), keep.reshape(-1)
     todo = np.flatnonzero(~flat)
+    tx, ty = x[todo], y[todo]  # the open points, compacted with todo
     while todo.size:
         # a gap in todo holds a kept point, so each run of todo is one open
         # segment's interior, between the kept points just outside it
         first = np.flatnonzero(np.diff(todo, prepend=-2) != 1)
         size = np.diff(first, append=todo.size)
         i, j = todo[first] - 1, todo[first + size - 1] + 1
-        seg = np.repeat(np.arange(first.size), size)
         ax, ay = x[i], y[i]
         bx, by = x[j] - ax, y[j] - ay
-        length2 = bx * bx + by * by
-        dx, dy = x[todo] - ax[seg], y[todo] - ay[seg]
-        bx, by, length2 = bx[seg], by[seg], length2[seg]
-        t = np.divide(dx * bx + dy * by, length2, out=np.zeros_like(dx), where=length2 > 0)
+        length2 = bx * bx + by * by  # never NaN: the ends are finite
+        positive = length2.all()
+        dx, dy = tx - np.repeat(ax, size), ty - np.repeat(ay, size)
+        bx, by, length2 = np.repeat(bx, size), np.repeat(by, size), np.repeat(length2, size)
+        dot = dx * bx + dy * by
+        if positive:
+            t = dot / length2
+        else:  # a segment of length 0 measures from its start, t = 0
+            t = np.divide(dot, length2, out=np.zeros_like(dx), where=length2 > 0)
         t = np.clip(t, 0.0, 1.0)
         ex, ey = dx - t * bx, dy - t * by
         dist = np.sqrt(ex * ex + ey * ey)
         dist[np.isnan(dist)] = np.inf
         far = np.maximum.reduceat(dist, first)
-        at_far = np.flatnonzero(dist == far[seg])
+        at_far = np.flatnonzero(dist == np.repeat(far, size))
         split = far > TOLERANCE_PX
-        pick = at_far[np.diff(seg[at_far], prepend=-1) != 0][split]
+        pick = at_far[np.searchsorted(at_far, first)][split]  # each segment's first
         flat[todo[pick]] = True
-        still = split[seg]
+        still = np.repeat(split, size)
         still[pick] = False
-        todo = todo[still]
+        todo, tx, ty = todo[still], tx[still], ty[still]
     return keep
 
 

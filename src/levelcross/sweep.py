@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SpectrumBatch, pair_indices, solve_at, solve_spectrum_batch
+from .eigensolve import EPS, SpectrumBatch, pair_indices, solve_at, solve_spectrum_batch
 from .model import Scenario, bare_levels, build_hamiltonian_batch
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 
 CROSSING_TOL = 1e-6      # |E_i - E_j| below this counts as an energy crossing
 MATCH_TIE_TOL = 1e-12    # overlap objectives within this are tied
-# scores per (steps, n!) array of the matcher: 8 MB at any n, where one
+# scores per (steps, n, n!) gather of the matcher: 8 MB at any n, where one
 # gather of a whole 8-level stack takes 2.6 MB per step (5 GB at 2001)
 MATCH_BLOCK = 1 << 20
 
@@ -58,20 +58,49 @@ def _best_assignment(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
     MATCH_TIE_TOL) go to the minimal sum of tiebreak, then to the first
     permutation in lexicographic order. Returns (k, n).
 
-    The stack is scored MATCH_BLOCK scores at a time, so memory stays
-    bounded at every n and length."""
-    perms = _permutations(score.shape[-1])
-    step = max(1, MATCH_BLOCK // len(perms))
-    best = []
-    for lo in range(0, max(len(score), 1), step):
-        s, t = score[lo : lo + step], tiebreak[lo : lo + step]
-        totals, ties = s[:, 0, perms[:, 0]], t[:, 0, perms[:, 0]]  # (step, P)
-        for i in range(1, perms.shape[1]):  # row by row from 0, as .sum(axis=1) adds
-            totals += s[:, i, perms[:, i]]
-            ties += t[:, i, perms[:, i]]
+    A matrix whose row maxima lie in n different columns, sigma, takes
+    sigma without enumeration when its two smallest row gaps (a row's
+    maximum minus its second largest entry) sum to more than the margin
+    2 (MATCH_TIE_TOL + n eps A), A = sum_i max_j |score_ij|. That is the
+    enumeration's answer. Any other permutation moves at least two rows,
+    each losing at least its gap, so its exact total lies at least g, the
+    two smallest gaps, below sigma's. An enumerated total adds n terms
+    left to right and rounds by at most (n-1) u A / (1 - (n-1) u)
+    <= n u A (u = eps/2, n <= 8), so the computed totals differ by more
+    than g - n eps A. The candidate test rounds max - MATCH_TIE_TOL by at
+    most u (A + MATCH_TIE_TOL), and the gaps, their sum and the margin
+    each round by a relative u. With g above the margin, what is left,
+    MATCH_TIE_TOL + n eps A, exceeds MATCH_TIE_TOL and all of these
+    roundings: sigma is the computed maximum and the only total within
+    MATCH_TIE_TOL of it, whatever the (finite) tiebreak. A non-finite
+    score makes the margin inf or NaN and sends its matrix to the
+    enumeration.
+
+    The other matrices are scored MATCH_BLOCK scores at a time, so memory
+    stays bounded at every n and length."""
+    k, n = score.shape[0], score.shape[-1]
+    perms = _permutations(n)
+    best = score.argmax(axis=2)
+    fast = np.zeros(k, dtype=bool)  # n = 1 has one permutation
+    if n > 1:
+        top = np.sort(score, axis=2)
+        gaps = top[:, :, -1] - top[:, :, -2]
+        gaps.sort(axis=1)
+        size = np.maximum(top[:, :, -1], -top[:, :, 0]).sum(axis=1)  # A
+        margin = (2 * n * EPS) * size + 2 * MATCH_TIE_TOL
+        # n powers of two sum to 2^n - 1 only if no two are equal
+        fast = (gaps[:, 0] + gaps[:, 1] > margin) & ((1 << best).sum(axis=1) == (1 << n) - 1)
+    slow = (~fast).nonzero()[0]
+    step = max(1, MATCH_BLOCK // perms.size)
+    for lo in range(0, slow.size, step):
+        # the cells (i, perms[p, i]) of each matrix, gathered as (step, n, P):
+        # the sum over i, not the contiguous axis, adds row by row from row 0
+        rows, i, j = slow[lo : lo + step, None, None], np.arange(n)[:, None], perms.T
+        totals = score[rows, i, j].sum(axis=1)
+        ties = tiebreak[rows, i, j].sum(axis=1)
         cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
-        best.append(perms[np.argmin(np.where(cand, ties, np.inf), axis=1)])
-    return np.concatenate(best)
+        best[rows[:, 0, 0]] = perms[np.argmin(np.where(cand, ties, np.inf), axis=1)]
+    return best
 
 
 def _follow(start: np.ndarray, steps: np.ndarray) -> np.ndarray:

@@ -386,14 +386,30 @@ def test_roots_match_the_full_batch_loop_on_a_full_block(scenario):
     assert_same_outcome(grid_coeffs(scenario, es.SOLVE_BLOCK))
 
 
-def ep_scan_coeffs(scenario, level):
-    """Characteristic polynomials of find_ep's SCAN_POINTS^2 scan over the
-    criterion-2 box, the scenario tuned by the 0-based level's half-width."""
-    axes = [np.linspace(lo, hi, SCAN_POINTS) for lo, hi in ((0.3, 1.0), (0.4, 0.8))]
+CRITERION_2_BOX = ((0.3, 1.0), (0.4, 0.8))
+
+# the six searches of the benchmark's ep_search: name, scenario, 0-based level, box
+EP_SEARCHES = [
+    ("fig1_constant", with_profile(preset("fig1"), "constant"), 1, CRITERION_2_BOX),
+    ("fig1_gaussian", with_profile(preset("fig1"), "gaussian"), 1, CRITERION_2_BOX),
+    ("fig2", preset("fig2"), 1, CRITERION_2_BOX),
+    ("fig4", preset("fig4"), 3, CRITERION_2_BOX),
+    ("fig9", preset("fig9"), 3, CRITERION_2_BOX),
+    ("fig5", preset("fig5"), 3, ((0.5, 0.9), (0.4, 0.8))),
+]
+
+
+def ep_scan_hamiltonians(scenario, level, box=CRITERION_2_BOX):
+    """The matrices of find_ep's SCAN_POINTS^2 scan over the box, the
+    scenario tuned by the 0-based level's half-width."""
+    axes = [np.linspace(lo, hi, SCAN_POINTS) for lo, hi in box]
     a, t = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    return char_poly_batch(
-        build_hamiltonian_batch(scenario, a, tunable=Tunable("gamma_half", level), value=t)
-    )
+    return build_hamiltonian_batch(scenario, a, tunable=Tunable("gamma_half", level), value=t)
+
+
+def ep_scan_coeffs(scenario, level):
+    """Characteristic polynomials of find_ep's scan over the criterion-2 box."""
+    return char_poly_batch(ep_scan_hamiltonians(scenario, level))
 
 
 @pytest.mark.parametrize(
@@ -412,6 +428,77 @@ def test_roots_match_the_full_batch_loop_on_ep_scans(scenario, level):
     for start in sorted({*nearest.tolist(), *range(0, len(coeffs), 260)}):
         for rows in (1, 3, 4):
             assert_same_outcome(coeffs[start : start + rows])
+
+
+def reference_char_poly(h):
+    """char_poly_batch as it was: the recursion from M_1 = I, its k = 2
+    product h @ I included."""
+    h = np.asarray(h, dtype=complex)
+    m, n = h.shape[0], h.shape[1]
+    coeffs = np.zeros((m, n + 1), dtype=complex)
+    coeffs[:, n] = 1.0
+    eye = np.eye(n, dtype=complex)
+    work = np.broadcast_to(eye, (m, n, n)).copy()
+    c = -np.einsum("mii->m", h)
+    coeffs[:, n - 1] = c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            work = h @ work + c[:, None, None] * eye
+            c = -np.einsum("mij,mji->m", h, work) / k
+            coeffs[:, n - k] = c
+    return coeffs
+
+
+def assert_same_char_poly(h):
+    got, want = char_poly_batch(h), reference_char_poly(h)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_char_poly_keeps_the_loop_bits_on_presets(pid):
+    for steps in (1, 2, 3, 101, 2001):
+        assert_same_char_poly(grid_hamiltonians(preset(pid), steps))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_char_poly_keeps_the_loop_bits_on_star_scenarios(order):
+    assert_same_char_poly(grid_hamiltonians(scenario_from_dict(star_spec(order, 2001)), 2001))
+
+
+@pytest.mark.parametrize("search", EP_SEARCHES, ids=[name for name, *_ in EP_SEARCHES])
+def test_char_poly_keeps_the_loop_bits_on_ep_scans(search):
+    _, scenario, level, box = search
+    assert_same_char_poly(ep_scan_hamiltonians(scenario, level, box))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char_poly_keeps_the_loop_bits_on_signed_zeros(n):
+    # h @ I turns a -0.0 entry into +0.0; zero rows and columns, and
+    # matrices made of signed zeros alone, keep the coefficients' bits
+    rng = np.random.default_rng(200 + n)
+    h = random_symmetric(rng, n, m=600)
+    parts = h.view(np.float64).reshape(600, n, n, 2)
+    parts[rng.uniform(size=parts.shape) < 0.3] = 0.0
+    parts[rng.uniform(size=parts.shape) < 0.3] = -0.0
+    h[:200][rng.uniform(size=(200, n)) < 0.3] = 0.0  # zero rows
+    h[200:400, :, rng.integers(0, n)] = -0.0  # a zero column
+    signs = rng.uniform(size=(200, n, n, 2)) < 0.5
+    parts[400:] = np.where(signs, -0.0, 0.0)  # every entry a signed zero
+    assert_same_char_poly(h)
+
+
+def test_char_poly_fails_the_same_row_on_an_infinite_entry():
+    h = random_symmetric(np.random.default_rng(211), 4, m=5)
+    h[2, 1, 3] = np.inf
+    h[4, 0, 0] = complex(0.0, -np.inf)
+    got, want = char_poly_batch(h), reference_char_poly(h)
+    bad = ~np.isfinite(got).all(axis=1)
+    assert bad.tolist() == [False, False, True, False, True]
+    assert np.array_equal(bad, ~np.isfinite(want).all(axis=1))
+    ok = ~bad
+    assert np.array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
+    with pytest.raises(RootConvergenceError, match=r"\(batch index 2, residual inf\)"):
+        eigenvalues_batch(h)
 
 
 # The Aberth loop's fallback passes, each known by a fragment of the one
@@ -1078,6 +1165,68 @@ def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
     h = np.array([[1.0 - 0.5j, 0.05], [0.05, -0.5999j]])
     with pytest.raises(BiorthogonalityError, match=r"\(batch index 0\)"):
         solve_spectrum_batch(h[None])
+
+
+def reference_biorthogonality(batch):
+    """The biorthogonality check as it was, gaps and mask at every point:
+    the (batch index, overlap) it fails with, or None."""
+    overlap = np.abs(np.einsum("mik,mjk->mij", batch.vectors, batch.vectors))
+    regular = ~batch.defective
+    gap = np.abs(batch.values[:, :, None] - batch.values[:, None, :])
+    checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+    worst = np.where(checked, overlap, 0.0).max(axis=(1, 2))
+    k = int(np.argmax(worst))
+    return (k, float(worst[k])) if worst[k] >= BIORTH_TOL else None
+
+
+def gated_and_full_check(h, monkeypatch):
+    """The failure solve_spectrum_batch raises on h, as (batch index,
+    overlap, message) or None, and the one the full check gives on the
+    same vectors (solved with the check switched off)."""
+    try:
+        solve_spectrum_batch(h)
+        got = None
+    except BiorthogonalityError as err:
+        got = (err.batch_index, err.overlap, str(err))
+    with monkeypatch.context() as patch:
+        patch.setattr(es, "BIORTH_TOL", np.inf)
+        want = reference_biorthogonality(solve_spectrum_batch(h))
+    if want is not None:
+        want = (*want, str(BiorthogonalityError(*want)))
+    return got, want
+
+
+def test_gated_check_names_the_full_checks_point_on_star_scenarios(monkeypatch):
+    outcomes = {}
+    for order in range(2, 9):
+        h = grid_hamiltonians(scenario_from_dict(star_spec(order, 2001)), 2001)
+        got, want = gated_and_full_check(h, monkeypatch)
+        assert got == want
+        outcomes[order] = got
+    assert [order for order, got in outcomes.items() if got is None] == [2, 3, 4, 5]
+    # the star6 fault that test_solver_faults.py records
+    assert outcomes[6][0] == 1092 and f"{outcomes[6][1]:.3e}" == "1.168e-08"
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_gated_check_passes_where_the_full_check_passes(pid, monkeypatch):
+    assert gated_and_full_check(grid_hamiltonians(preset(pid), 2001), monkeypatch) == (None, None)
+
+
+@pytest.mark.parametrize("row", [0, 1, 1092, es.SOLVE_BLOCK - 1])
+def test_gated_check_names_a_spoiled_vector_in_a_full_block(row, monkeypatch):
+    # one vector leans 1e-6 towards its neighbour at `row` of a 4096-row
+    # block; a second, smaller lean later on must not be named
+    def spoil(vectors, defective, bilinear):
+        vectors = _canonicalize(vectors, defective, bilinear).copy()
+        vectors[row, 1] += 1e-6 * vectors[row, 2]
+        vectors[(row + 7) % es.SOLVE_BLOCK, 1] += 1e-7 * vectors[(row + 7) % es.SOLVE_BLOCK, 2]
+        return vectors
+
+    monkeypatch.setattr("levelcross.eigensolve._canonicalize", spoil)
+    got, want = gated_and_full_check(grid_hamiltonians(preset("fig4"), es.SOLVE_BLOCK), monkeypatch)
+    assert got == want
+    assert got[0] == row
 
 
 def test_solver_requires_square_stack():

@@ -362,6 +362,20 @@ def test_batched_probes_equal_the_per_probe_loop(name, monkeypatch):
     )
 
 
+def test_fig5_probe_failure_keeps_its_message():
+    # the gated biorthogonality check names the fig5 probe that the
+    # ungated check named, with the same overlap (the fault of
+    # test_solver_faults.py's fig5 record; mending it changes this text)
+    sc, level, box = SEARCHES["fig5"]
+    with pytest.raises(SolverError) as info:
+        find_ep(sc, Tunable("gamma_half", level), box)
+    assert str(info.value) == (
+        "eigensolver failed at probe point (a, value)=(0.8506505495965481, "
+        "0.5741574138285521): bilinear overlap 1.457e-08 for well-separated "
+        "eigenpairs (batch index 3)"
+    )
+
+
 def test_batched_probes_double_only_the_defective_ones(monkeypatch):
     # a stub marks spectra within 6e-4 of the location's H defective: the
     # a probes (|dH| = 1e-3) are clean at once, the t probes (|dH| = ht)

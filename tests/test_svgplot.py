@@ -111,6 +111,85 @@ def test_batched_keep_equals_one_segment_at_a_time(pid):
         assert [np.flatnonzero(m).tolist() for m in keep] == [reference_keep(px, y) for y in py]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_batched_keep(px, py):
+    """svgplot._keep as it was: each pass gathers the open points again and
+    expands per-segment values by their segment index."""
+    px = np.broadcast_to(px, py.shape)
+    bad = ~(np.isfinite(px) & np.isfinite(py))
+    keep = bad.copy()
+    keep[:, 1:] |= bad[:, :-1]
+    keep[:, :-1] |= bad[:, 1:]
+    keep[:, [0, -1]] = True
+    x, y, flat = px.ravel(), py.ravel(), keep.reshape(-1)
+    todo = np.flatnonzero(~flat)
+    while todo.size:
+        first = np.flatnonzero(np.diff(todo, prepend=-2) != 1)
+        size = np.diff(first, append=todo.size)
+        i, j = todo[first] - 1, todo[first + size - 1] + 1
+        seg = np.repeat(np.arange(first.size), size)
+        ax, ay = x[i], y[i]
+        bx, by = x[j] - ax, y[j] - ay
+        length2 = bx * bx + by * by
+        dx, dy = x[todo] - ax[seg], y[todo] - ay[seg]
+        bx, by, length2 = bx[seg], by[seg], length2[seg]
+        t = np.divide(dx * bx + dy * by, length2, out=np.zeros_like(dx), where=length2 > 0)
+        t = np.clip(t, 0.0, 1.0)
+        ex, ey = dx - t * bx, dy - t * by
+        dist = np.sqrt(ex * ex + ey * ey)
+        dist[np.isnan(dist)] = np.inf
+        far = np.maximum.reduceat(dist, first)
+        at_far = np.flatnonzero(dist == far[seg])
+        split = far > TOL
+        pick = at_far[np.diff(seg[at_far], prepend=-1) != 0][split]
+        flat[todo[pick]] = True
+        still = split[seg]
+        still[pick] = False
+        todo = todo[still]
+    return keep
+
+
+@pytest.mark.parametrize("steps", [101, 10_000])
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_keep_matches_the_regathering_passes_on_presets(pid, steps):
+    for px, py in panels(sweep(pid, steps)):
+        assert np.array_equal(svgplot._keep(px, py), reference_batched_keep(px, py))
+
+
+def awkward_rows(rng, m=400):
+    """Rows of m points: a noisy curve with NaN and +-inf entries, constant
+    and collinear stretches, repeated points, a constant row and a
+    collinear row."""
+    px = np.linspace(72.0, 612.0, m)
+    rows = []
+    for _ in range(12):
+        y = 200.0 + np.cumsum(rng.normal(scale=0.3, size=m))
+        lo = int(rng.integers(0, m - 60))
+        y[lo : lo + 30] = y[lo]  # constant
+        y[lo + 30 : lo + 60] = y[lo] + 0.01 * np.arange(30)  # collinear
+        y[rng.integers(0, m, size=6)] = rng.choice([np.nan, np.inf, -np.inf], size=6)
+        rows.append(y)
+    rows.append(np.full(m, 150.0))
+    rows.append(100.0 + 0.5 * px)
+    return px, np.array(rows)
+
+
+def test_keep_matches_the_regathering_passes_on_awkward_rows():
+    rng = np.random.default_rng(31)
+    for m in (3, 4, 50, 400):
+        px, py = awkward_rows(rng, max(m, 61))
+        px, py = px[:m], py[:, :m]
+        assert np.array_equal(svgplot._keep(px, py), reference_batched_keep(px, py))
+    # repeated points, and rows that end where they start: segments with
+    # equal ends
+    px = np.repeat(np.arange(50.0), 3)
+    py = np.repeat(rng.normal(size=(4, 50)), 3, axis=1)
+    assert np.array_equal(svgplot._keep(px, py), reference_batched_keep(px, py))
+    px = np.concatenate((np.arange(30.0), np.arange(30.0)[::-1]))
+    py = np.vstack((np.zeros(60), np.sin(np.arange(60.0) * np.pi / 59) ** 2, 0.001 * px))
+    assert np.array_equal(svgplot._keep(px, py), reference_batched_keep(px, py))
+
+
 def test_equally_far_points_split_at_the_first():
     # integer pixels on plateaus: many interior points lie exactly equally far
     px = np.arange(40.0)

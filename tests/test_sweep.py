@@ -6,8 +6,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from levelcross.eigensolve import (
+    EPS,
     BiorthogonalityError,
     RootConvergenceError,
     SolverError,
@@ -27,10 +29,12 @@ from levelcross.model import (
     bare_levels,
     build_hamiltonian_batch,
     save_scenario,
+    scenario_from_dict,
 )
 from levelcross import sweep
 from levelcross.presets import PRESET_IDS, preset
 from levelcross.sweep import (
+    MATCH_BLOCK,
     MATCH_TIE_TOL,
     _best_assignment,
     _runs,
@@ -39,6 +43,7 @@ from levelcross.sweep import (
     detect_crossings,
     run_sweep,
 )
+from test_eigensolve import star_spec
 
 
 def scenario(
@@ -255,8 +260,8 @@ def test_best_assignment_matches_brute_force_per_matrix():
 
 
 def test_best_assignment_is_the_same_across_blocks(monkeypatch):
-    # 7 scores per block: blocks of 7 and 3 matrices, each with a shorter
-    # last block, at n = 1 and 2, and one matrix per block from n = 3 on
+    # 7 scores per block: blocks of 7 matrices, with a shorter last block,
+    # at n = 1, and one matrix per block from n = 2 on
     monkeypatch.setattr(sweep, "MATCH_BLOCK", 7)
     assert_best_assignment_matches_brute_force()
 
@@ -271,6 +276,170 @@ def test_best_assignment_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def reference_best_assignment(score, tiebreak):
+    """_best_assignment as it was: every permutation of every matrix
+    enumerated at once, the totals added row by row from row 0."""
+    perms = sweep._permutations(score.shape[-1])
+    totals, ties = score[:, 0, perms[:, 0]], tiebreak[:, 0, perms[:, 0]]
+    for i in range(1, perms.shape[1]):
+        totals = totals + score[:, i, perms[:, i]]
+        ties = ties + tiebreak[:, i, perms[:, i]]
+    cand = totals >= totals.max(axis=1, keepdims=True) - MATCH_TIE_TOL
+    return perms[np.argmin(np.where(cand, ties, np.inf), axis=1)]
+
+
+def gap_sum_and_margin(s):
+    """The two smallest row gaps' sum and the fast path's margin for one
+    (n, n) score, rounded as _best_assignment rounds them."""
+    n = s.shape[-1]
+    top = np.sort(s, axis=1)
+    gaps = np.sort(top[:, -1] - top[:, -2])
+    size = np.maximum(top[:, -1], -top[:, 0]).sum()
+    return gaps[0] + gaps[1], (2 * n * EPS) * size + 2 * MATCH_TIE_TOL
+
+
+def near_tie(rng, n, centre):
+    """An (n, n) score around `centre` whose row maxima form sigma, the
+    runners-up of rows 0 and 1 in each other's maximum's column, twice:
+    with their gap sum one ulp step above the margin and at or below it.
+    The tiebreak prefers sigma with those two rows swapped."""
+    sigma = rng.permutation(n)
+    s = centre - rng.uniform(0.5, 1.0, size=(n, n))
+    s[np.arange(n), sigma] = centre
+    tiebreak = np.zeros((n, n))
+    tiebreak[[0, 1], sigma[:2]] = 1.0
+    margin = gap_sum_and_margin(s)[1]  # the runners-up set below do not move it
+    s[0, sigma[1]] = s[1, sigma[0]] = centre - margin / 2
+    start_above = gap_sum_and_margin(s)[0] > margin
+    toward = np.inf if start_above else -np.inf  # up: smaller gap, down: larger
+    while True:
+        before = s.copy()
+        s[1, sigma[0]] = np.nextafter(s[1, sigma[0]], toward)
+        if (gap_sum_and_margin(s)[0] > margin) != start_above:
+            above, below = (before, s) if start_above else (s, before)
+            return sigma, above, below, tiebreak
+
+
+@pytest.mark.parametrize("centre", [1.0, -1e6], ids=["overlaps", "fallback_1e6"])
+def test_best_assignment_either_side_of_the_fast_path_margin(centre):
+    # -1e6 stands for a fallback step's -|lambda_i - lambda_j| between
+    # eigenvalues 1e6 apart: there the rounding term of the margin is
+    # about 1e4 times MATCH_TIE_TOL. A tiebreak of +inf shows the path
+    # taken: the enumeration turns it into the first permutation, the
+    # fast path never reads it
+    rng = np.random.default_rng(19)
+    for n in range(2, 9):
+        sigma, above, below, tiebreak = near_tie(rng, n, centre)
+        gaps_above, margin = gap_sum_and_margin(above)
+        assert gaps_above > margin >= gap_sum_and_margin(below)[0]
+        blind = np.full((1, n, n), np.inf)
+        for s, path in ((above, sigma), (below, np.arange(n))):
+            want = reference_best_assignment(s[None], tiebreak[None])
+            assert np.array_equal(_best_assignment(s[None], tiebreak[None]), want)
+            assert np.array_equal(want[0], sigma)
+            assert np.array_equal(_best_assignment(s[None], blind)[0], path)
+
+
+def test_fast_path_margin_needs_its_rounding_term():
+    # two gaps of one ulp of 4e6 sum to 9.3e-10, far above 2 MATCH_TIE_TOL,
+    # yet the enumerated totals round the runner-up onto sigma's total and
+    # the tiebreak picks the runner-up: the margin's n eps A term (1.6e-8
+    # and more here) sends these steps to the enumeration
+    rng = np.random.default_rng(23)
+    for n in range(3, 9):
+        sigma = np.arange(n)[::-1].copy()
+        centre = -4e6
+        s = centre - rng.uniform(0.5, 1.0, size=(n, n))
+        s[np.arange(n), sigma] = centre
+        s[0, sigma[1]] = s[1, sigma[0]] = np.nextafter(centre, -np.inf)
+        tiebreak = np.zeros((n, n))
+        tiebreak[[0, 1], sigma[:2]] = 1.0
+        gaps, margin = gap_sum_and_margin(s)
+        assert 2 * MATCH_TIE_TOL < gaps <= margin
+        want = reference_best_assignment(s[None], tiebreak[None])
+        assert not np.array_equal(want[0], sigma)
+        assert np.array_equal(_best_assignment(s[None], tiebreak[None]), want)
+
+
+def clean_steps(rng, n, k):
+    """k near-permutation overlap matrices: 0.6 at a random permutation,
+    noise in [0, 0.4) everywhere."""
+    score = 0.4 * rng.uniform(size=(k, n, n))
+    sigma = np.array([rng.permutation(n) for _ in range(k)])
+    score[np.arange(k)[:, None], np.arange(n), sigma] += 0.6
+    return score
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_best_assignment_matches_linear_sum_assignment(n):
+    # scipy's Hungarian solver, an independent oracle for the matcher
+    score = clean_steps(np.random.default_rng(60 + n), n, 2000)
+    got = _best_assignment(score, score)
+    for step, want in zip(score, got):
+        rows, cols = linear_sum_assignment(step, maximize=True)
+        assert np.array_equal(cols, want)
+
+
+def test_clean_steps_skip_the_enumeration():
+    # one enumeration block gathers MATCH_BLOCK scores (8 MB); 2000 clean
+    # 8-level steps need none of them
+    score = clean_steps(np.random.default_rng(8), 8, 2000)
+    sweep._permutations(8)  # the cached 8! table is built once per process, not per call
+    tracemalloc.start()
+    try:
+        _best_assignment(score, score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MATCH_BLOCK * 8 // 2
+
+
+def test_best_assignment_matches_the_full_enumeration_on_random_stacks():
+    # scores over many magnitudes and both signs, some rows with tiny gaps:
+    # fast and enumerated matrices in one stack
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        score = rng.normal(size=(400, n, n)) * 10.0 ** rng.integers(-6, 7, size=(400, 1, 1))
+        rows = np.arange(400)[:, None]
+        top = score.max(axis=2)
+        score[rows, np.arange(n), rng.permuted(np.tile(np.arange(n), (400, 1)), axis=1)] = (
+            top + np.abs(top) * 10.0 ** rng.uniform(-17, -10, size=(400, n))
+        )
+        tiebreak = rng.uniform(size=(400, n, n))
+        want = reference_best_assignment(score, tiebreak)
+        assert np.array_equal(_best_assignment(score, tiebreak), want)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*PRESET_IDS, "star2", "star3", "star4", "star5", "star6"],
+)
+def test_matcher_decisions_match_the_full_enumeration(case, monkeypatch):
+    # every _best_assignment call of a sweep and its crossing scan: the
+    # step permutations, the start levels and the end levels
+    best = sweep._best_assignment
+    calls = []
+
+    def recorded(score, tiebreak):
+        calls.append((score, tiebreak, best(score, tiebreak)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("levelcross.sweep._best_assignment", recorded)
+    # star6 fails its biorthogonality check at 2001 points (test_solver_faults.py)
+    sizes = (101,) if case == "star6" else (101, 2001) if case.startswith("star") else (101, 2001, 10_000)
+    for steps in sizes:
+        if case.startswith("star"):
+            sc = scenario_from_dict(star_spec(int(case[4:]), steps))
+        else:
+            sc = preset(case)
+            sc = replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, steps))
+        calls.clear()
+        detect_crossings(run_sweep(sc))
+        assert [len(score) for score, _, _ in calls] == [steps - 1, 1, 1]
+        for score, tiebreak, got in calls:
+            assert np.array_equal(got, reference_best_assignment(score, tiebreak))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
