@@ -475,10 +475,11 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
 
     Enforces the biorthogonality contract |v_i . v_j| < BIORTH_TOL for
     pairs separated by more than GAP_GUARD (both non-defective); a
-    violation raises BiorthogonalityError naming the batch index, the
-    first point with the largest checked overlap. The gaps are computed
-    only at the points whose largest off-diagonal overlap reaches
-    BIORTH_TOL, since no other point can fail.
+    violation raises BiorthogonalityError naming the batch index: the
+    first point with a NaN overlap, or else the first with the largest
+    checked overlap. The gaps are computed only at the points whose
+    largest off-diagonal overlap reaches BIORTH_TOL or is NaN, since no
+    other point can fail. An empty stack gives an empty SpectrumBatch.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -531,8 +532,8 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
         gap = np.abs(near[:, :, None] - near[:, None, :])
         checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
         worst[suspect] = np.where(checked, overlap[suspect], 0.0).max(axis=(1, 2))
-    k = int(np.argmax(worst))
-    if worst[k] >= BIORTH_TOL:
+    if not (worst < BIORTH_TOL).all():  # a NaN fails too, and argmax names the first NaN
+        k = int(np.argmax(worst))
         raise BiorthogonalityError(k, float(worst[k]))
 
     return SpectrumBatch(
@@ -549,9 +550,10 @@ def solve_at(solve, h, point):
 
     No row depends on its block, so neither does the result. Of the
     failed blocks the worst counts: a root failure before a failed
-    check, then the largest residual or overlap, then the earliest. It
-    is re-raised as a SolverError naming point(k), the caller's name for
-    matrix k of h, and k is the batch index in its message.
+    check, then the largest residual or overlap (a NaN overlap above
+    any other), then the earliest. It is re-raised as a SolverError
+    naming point(k), the caller's name for matrix k of h, and k is the
+    batch index in its message.
     """
     def block(lo):
         try:
@@ -565,7 +567,10 @@ def solve_at(solve, h, point):
     errors = [part for part in parts if isinstance(part, SolverError)]
     if errors:
         roots = [e for e in errors if isinstance(e, RootConvergenceError)]
-        err = max(roots, key=lambda e: e.residual) if roots else max(errors, key=lambda e: e.overlap)
+        if roots:
+            err = max(roots, key=lambda e: e.residual)
+        else:
+            err = max(errors, key=lambda e: (np.isnan(e.overlap), e.overlap))
         raise SolverError(f"eigensolver failed at {point(err.batch_index)}: {err}") from err
     if isinstance(parts[0], SpectrumBatch):
         return SpectrumBatch(

@@ -15,26 +15,24 @@ Grammar (EBNF):
 "-a^2" means -(a^2) while "a^-2" is still accepted.  The only
 identifier is the sweep variable "a"; there are no named constants.
 
-Parentheses shape the tree but leave no node behind, so "(1)-a/2"
-and "1 - a/2" parse to equal trees.  Evaluation works elementwise
-on scalars and ndarrays through the same numpy code path.
+An expression is a flat postfix program, one tuple of instructions
+run on a stack, so parsing, evaluating, rendering, comparing and
+hashing are loops at any nesting depth.  Parentheses set the order of
+the instructions but leave none behind, so "(1)-a/2" and "1 - a/2"
+parse to equal programs.  Evaluation works elementwise on scalars and
+ndarrays through the same numpy code path.
 """
 
 from __future__ import annotations
 
 import re
-import sys
+from collections import deque
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "ExprAst",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
+    "Expr",
     "ParseError",
     "EvalError",
     "parse_expr",
@@ -60,28 +58,32 @@ class EvalError(ValueError):
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class Expr:
+    """An expression as a postfix program.
+
+    code is a tuple of instructions: ("num", value) and ("a",) push an
+    operand, ("neg",) negates the top of the stack, and ("+",), ("-",),
+    ("*",), ("/",) and ("^",) pop the right operand, then the left, and
+    push the result.  So "1 - a/2" is
+    (("num", 1.0), ("a",), ("num", 2.0), ("/",), ("-",)).
+    """
+
+    code: tuple
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-ExprAst = Union[Num, Var, Neg, BinOp]
+# precedence, and what to_text writes: the operator's text, and the
+# highest precedence of a left / right operand it puts in parentheses;
+# a pending "(" has the lowest precedence, so no operator pops it
+_OPS = {
+    "(": (0, None, None, None),
+    "+": (1, " + ", 0, 1),
+    "-": (1, " - ", 0, 1),
+    "*": (2, "*", 1, 2),
+    "/": (2, "/", 1, 2),
+    "neg": (3, "-", None, 2),
+    "^": (4, "^", 4, 2),
+}
+_ATOM = 5  # the precedence of a number or "a"
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -114,99 +116,57 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent; each rule returns (node, depth of its tree)."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.pos += 1
-        return tok
-
-    def node(self, tok, *children) -> tuple[ExprAst, int]:
-        """The Neg (one child) or BinOp (two children) of operator token tok."""
-        depth = 1 + max(d for _, d in children)
-        # evaluating and rendering recurse once per level: leave the caller
-        # half of the recursion limit
-        if depth > sys.getrecursionlimit() // 2:
-            raise ParseError("expression nested too deeply", tok[2])
-        args = [c for c, _ in children]
-        return (Neg(*args) if len(args) == 1 else BinOp(tok[1], *args)), depth
-
-    def expr(self) -> tuple[ExprAst, int]:
-        node = self.term()
-        while (tok := self.peek()) and tok[1] in "+-":
-            self.pos += 1
-            node = self.node(tok, node, self.term())
-        return node
-
-    def term(self) -> tuple[ExprAst, int]:
-        node = self.factor()
-        while (tok := self.peek()) and tok[1] in "*/":
-            self.pos += 1
-            node = self.node(tok, node, self.factor())
-        return node
-
-    def factor(self) -> tuple[ExprAst, int]:
-        tok = self.peek()
-        if tok and tok[1] == "-":
-            self.pos += 1
-            return self.node(tok, self.factor())
-        return self.power()
-
-    def power(self) -> tuple[ExprAst, int]:
-        node = self.atom()
-        if (tok := self.peek()) and tok[1] == "^":
-            self.pos += 1
-            node = self.node(tok, node, self.factor())
-        return node
-
-    def atom(self) -> tuple[ExprAst, int]:
-        kind, lexeme, offset = self.take()
-        if kind == "num":
-            return Num(float(lexeme)), 0
-        if kind == "name":
-            if lexeme != "a":
-                raise ParseError(f"unknown identifier {lexeme!r}", offset)
-            return Var(), 0
-        if lexeme == "(":
-            node = self.expr()
-            tok = self.peek()
-            if tok is None or tok[1] != ")":
-                raise ParseError("expected ')'", tok[2] if tok else len(self.text))
-            self.pos += 1
-            return node
-        raise ParseError(f"unexpected {lexeme!r}", offset)
-
-
-def parse_expr(text: str) -> ExprAst:
-    """Parse ``text`` into an expression tree.
+def parse_expr(text: str) -> Expr:
+    """Parse ``text`` into a postfix program (shunting-yard).
 
     Raises ParseError (with a byte offset) for empty input, unknown
-    identifiers, unbalanced parentheses, trailing garbage, and nesting
-    deeper than the interpreter's recursion limit allows: a tree more
-    than half the limit deep, such as a flat sum of that many terms.
+    identifiers, unbalanced parentheses and trailing garbage.
     """
-    parser = _Parser(text)
-    if parser.peek() is None:
+    tokens = _tokenize(text)
+    if not tokens:
         raise ParseError("empty expression", 0)
-    try:
-        node, _ = parser.expr()
-    except RecursionError:
-        offset = parser.tokens[parser.pos - 1][2]  # the opener that went too deep
-        raise ParseError("expression nested too deeply", offset) from None
-    if (tok := parser.peek()) is not None:
-        raise ParseError(f"trailing garbage {tok[1]!r}", tok[2])
-    return node
+    code, pending = [], []  # pending: operators and "(" not yet emitted
+    depth = 0  # open parentheses, counted so that no token scans pending
+    want_operand = True
+    for kind, lexeme, offset in tokens:
+        if want_operand:
+            if kind == "num":
+                code.append(("num", float(lexeme)))
+                want_operand = False
+            elif kind == "name":
+                if lexeme != "a":
+                    raise ParseError(f"unknown identifier {lexeme!r}", offset)
+                code.append(("a",))
+                want_operand = False
+            elif lexeme == "(":
+                pending.append("(")
+                depth += 1
+            elif lexeme == "-":
+                pending.append("neg")
+            else:
+                raise ParseError(f"unexpected {lexeme!r}", offset)
+        elif lexeme == ")" and depth:
+            while (op := pending.pop()) != "(":
+                code.append((op,))
+            depth -= 1
+        elif kind == "op" and lexeme in "+-*/^":
+            # "^" is right-associative and binds tightest, so it pops
+            # nothing, not even a pending unary minus: "-a^2" is -(a^2)
+            prec = _OPS[lexeme][0]
+            while lexeme != "^" and pending and _OPS[pending[-1]][0] >= prec:
+                code.append((pending.pop(),))
+            pending.append(lexeme)
+            want_operand = True
+        elif depth:
+            raise ParseError("expected ')'", offset)
+        else:
+            raise ParseError(f"trailing garbage {lexeme!r}", offset)
+    if want_operand:
+        raise ParseError("unexpected end of expression", len(text))
+    if depth:
+        raise ParseError("expected ')'", len(text))
+    code.extend((op,) for op in reversed(pending))
+    return Expr(tuple(code))
 
 
 def _first_fault(a: np.ndarray, mask) -> float:
@@ -218,22 +178,14 @@ def _first_fault(a: np.ndarray, mask) -> float:
     return float(np.asarray(a).flat[int(np.argmax(full))])
 
 
-def _eval(node: ExprAst, a: np.ndarray):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return a
-    if isinstance(node, Neg):
-        return -_eval(node.arg, a)
-    left = _eval(node.left, a)
-    right = _eval(node.right, a)
-    if node.op == "+":
+def _binary(op: str, left, right, a: np.ndarray):
+    if op == "+":
         return left + right
-    if node.op == "-":
+    if op == "-":
         return left - right
-    if node.op == "*":
+    if op == "*":
         return left * right
-    if node.op == "/":
+    if op == "/":
         bad = np.equal(right, 0.0)
         if np.any(bad):
             raise EvalError("division by zero", _first_fault(a, bad))
@@ -248,17 +200,27 @@ def _eval(node: ExprAst, a: np.ndarray):
     return np.power(left, right)
 
 
-def eval_expr(ast: ExprAst, a):
-    """Evaluate ``ast`` at ``a`` (scalar or ndarray), elementwise.
+def eval_expr(expr: Expr, a):
+    """Evaluate ``expr`` at ``a`` (scalar or ndarray), elementwise.
 
     The result is a float for scalar input and an ndarray otherwise.
     Poles, domain faults, and non-finite results raise EvalError
     carrying the offending parameter value.
     """
     arr = np.asarray(a, dtype=float)
+    stack = []  # literals stay Python floats, "a" is arr
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _eval(ast, arr)
-    value = np.asarray(value, dtype=float)
+        for op, *arg in expr.code:
+            if op == "num":
+                stack.append(arg[0])
+            elif op == "a":
+                stack.append(arr)
+            elif op == "neg":
+                stack.append(-stack.pop())
+            else:
+                right = stack.pop()
+                stack.append(_binary(op, stack.pop(), right, arr))
+    value = np.asarray(stack.pop(), dtype=float)
     if value.shape != arr.shape:  # constant expression
         value = np.broadcast_to(value, arr.shape).copy()
     finite = np.isfinite(value)
@@ -269,47 +231,41 @@ def eval_expr(ast: ExprAst, a):
     return value
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+def _wrap(pieces: deque, parenthesize: bool) -> deque:
+    if parenthesize:
+        pieces.appendleft("(")
+        pieces.append(")")
+    return pieces
 
 
-def _prec(node: ExprAst) -> int:
-    if isinstance(node, (Num, Var)):
-        return _PREC["atom"]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC[node.op]
+def _join(left: deque, text: str, right: deque) -> deque:
+    # extend the longer side, so that a deep chain renders in linear time
+    if len(left) >= len(right):
+        left.append(text)
+        left.extend(right)
+        return left
+    right.appendleft(text)
+    right.extendleft(reversed(left))
+    return right
 
 
-def _render(node: ExprAst) -> str:
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return f"({text})" if node.value < 0 else text
-    if isinstance(node, Var):
-        return "a"
-    if isinstance(node, Neg):
-        inner = _render(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    left, right = _render(node.left), _render(node.right)
-    if node.op in "+-":
-        if _prec(node.right) <= _PREC[node.op]:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    if node.op in "*/":
-        if _prec(node.left) < _PREC[node.op]:
-            left = f"({left})"
-        if _prec(node.right) <= _PREC[node.op]:
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
-    # ^: left operand must be an atom, right is a factor
-    if not isinstance(node.left, (Num, Var)):
-        left = f"({left})"
-    if _prec(node.right) < _PREC["neg"]:
-        right = f"({right})"
-    return f"{left}^{right}"
-
-
-def to_text(ast: ExprAst) -> str:
-    """Render ``ast`` with minimal parentheses; parse_expr(to_text(t)) == t."""
-    return _render(ast)
+def to_text(expr: Expr) -> str:
+    """Render ``expr`` with minimal parentheses; parse_expr(to_text(e)) == e."""
+    stack = []  # (text pieces, precedence) of each operand
+    for op, *arg in expr.code:
+        if op == "num":
+            text = repr(arg[0])
+            stack.append((deque([f"({text})" if arg[0] < 0 else text]), _ATOM))
+        elif op == "a":
+            stack.append((deque(["a"]), _ATOM))
+        else:
+            prec, text, wrap_left, wrap_right = _OPS[op]
+            right, right_prec = stack.pop()
+            pieces = _wrap(right, right_prec <= wrap_right)
+            if op == "neg":
+                pieces.appendleft(text)
+            else:
+                left, left_prec = stack.pop()
+                pieces = _join(_wrap(left, left_prec <= wrap_left), text, pieces)
+            stack.append((pieces, prec))
+    return "".join(stack.pop()[0])

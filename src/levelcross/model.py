@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .eigensolve import MAX_ORDER
-from .expressions import ExprAst, eval_expr, parse_expr, to_text
+from .expressions import Expr, eval_expr, parse_expr, to_text
 
 __all__ = [
     "ScenarioError",
@@ -58,7 +58,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    energy_expr: ExprAst
+    energy_expr: Expr
     half_width: float  # gamma_i/2, in the same energy units as e_i
 
     def __post_init__(self):

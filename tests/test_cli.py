@@ -235,11 +235,11 @@ def write_fig1_energy(path, energy):
     return write_scenario_json(path, obj)
 
 
-# nested past the interpreter's recursion limit
+# nested past the interpreter's recursion limit, which no walk of an
+# expression's flat program meets; the first two are the program of "a"
 DEEP_ENERGIES = {
     "3000 parentheses": "(" * 3000 + "a" + ")" * 3000,
     "3000 minus signs": "-" * 3000 + "a",
-    "3000 powers": "^".join(["a"] * 3000),
     "5000 terms": "+".join(["a"] * 5000),
 }
 
@@ -290,10 +290,7 @@ def input_faults(tmp_path):
         tmp_path / "far_selfenergy.json", selfenergy={"3": {"re": 0.1, "im": 0.0}}
     )
     no_levels = write_fig1_variant(tmp_path / "no_levels.json", levels=slice(0), pairs=[])
-    deep = {
-        name: write_fig1_energy(tmp_path / f"deep{k}.json", energy)
-        for k, (name, energy) in enumerate(DEEP_ENERGIES.items())
-    }
+    tower = write_fig1_energy(tmp_path / "tower.json", "^".join(["a"] * 3000))
     malformed = {
         name: write_fig1_field(tmp_path / f"number{k}.json", *field)
         for k, (name, field) in enumerate(BAD_NUMBERS.items())
@@ -333,7 +330,7 @@ def input_faults(tmp_path):
         "sweep --grid NaN bound": ["sweep", "--preset", "fig1", "--grid", "nan:1:11"],
         "sweep --grid span overflows": ["sweep", "--preset", "fig1", "--grid=-1e308:1e308:3"],
         "sweep no levels": ["sweep", "--scenario", no_levels],
-        **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in deep.items()},
+        "sweep 3000 powers": ["sweep", "--scenario", tower],
         **{f"sweep {name}": ["sweep", "--scenario", path] for name, path in malformed.items()},
     }
 
@@ -372,10 +369,7 @@ FAULT_MESSAGES = {
     ),
     "sweep no levels": "scenario needs at least one level",
     "reproduce --all": "unrecognized arguments: --all",
-    "sweep 3000 parentheses": "expression nested too deeply at offset",
-    "sweep 3000 minus signs": "expression nested too deeply at offset",
-    "sweep 3000 powers": "expression nested too deeply at offset",
-    "sweep 5000 terms": "expression nested too deeply at offset",
+    "sweep 3000 powers": "non-finite result at a=1.44525",  # past e^(1/e) the tower overflows
     "sweep steps 2.9": "steps: expected an integer, got 2.9",
     "sweep steps true": "steps: expected an integer, got True",
     "sweep steps Infinity": "steps: expected an integer, got inf",
@@ -402,6 +396,16 @@ def test_input_faults_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, c
     assert FAULT_MESSAGES[case] in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_ENERGIES))
+def test_deep_energies_sweep(tmp_path, case):
+    outputs = {}
+    for name, energy in (("deep", DEEP_ENERGIES[case]), ("plain", "a")):
+        path = write_fig1_energy(tmp_path / f"{name}.json", energy)
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs[name] = (tmp_path / name / "trajectories.csv").read_bytes()
+    assert (outputs["deep"] == outputs["plain"]) == (case != "5000 terms")
 
 
 def fig1_json_with(**fields) -> bytes:

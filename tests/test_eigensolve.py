@@ -21,6 +21,7 @@ from levelcross.eigensolve import (
     CLUSTER_RTOL,
     EPS,
     GAP_GUARD,
+    MAX_ORDER,
     NEWTON_POLISH_STEPS,
     ROOT_RTOL,
     RootConvergenceError,
@@ -1165,6 +1166,50 @@ def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
     h = np.array([[1.0 - 0.5j, 0.05], [0.05, -0.5999j]])
     with pytest.raises(BiorthogonalityError, match=r"\(batch index 0\)"):
         solve_spectrum_batch(h[None])
+
+
+def spoil_two_rows(monkeypatch, nan_row, duplicate_row):
+    """Patch _canonicalize to put one NaN component in the vectors of
+    nan_row and a duplicated direction (overlap 1) at duplicate_row,
+    counting rows across calls as solve_at solves its blocks in order."""
+    done = []
+
+    def spoil(vectors, defective, bilinear):
+        vectors = _canonicalize(vectors, defective, bilinear).copy()
+        rows = sum(done) + np.arange(len(vectors))
+        done.append(len(vectors))
+        vectors[rows == nan_row, 0, 0] = np.nan
+        vectors[rows == duplicate_row, 1] = vectors[rows == duplicate_row, 0]
+        return vectors
+
+    monkeypatch.setattr("levelcross.eigensolve._canonicalize", spoil)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+@pytest.mark.parametrize("nan_row, duplicate_row", [(0, 2), (2, 0)])
+def test_nan_overlap_does_not_hide_a_failure(monkeypatch, nan_row, duplicate_row, block):
+    # argmax names the first NaN, and NaN >= BIORTH_TOL is False: a NaN
+    # overlap used to let a duplicated direction in its block pass
+    h = np.repeat(np.array([[[1.0 - 0.5j, 0.05], [0.05, -0.5999j]]]), 3, axis=0)
+    spoil_two_rows(monkeypatch, nan_row, duplicate_row)
+    with pytest.raises(BiorthogonalityError) as single:
+        solve_spectrum_batch(h)
+    assert str(single.value) == f"bilinear overlap nan for well-separated eigenpairs (batch index {nan_row})"
+    monkeypatch.setattr(es, "SOLVE_BLOCK", block)  # 3, 1 or 1 blocks
+    spoil_two_rows(monkeypatch, nan_row, duplicate_row)
+    with pytest.raises(SolverError) as blocked:
+        solve_at(solve_spectrum_batch, h, lambda k: f"row {k}")
+    assert str(blocked.value) == f"eigensolver failed at row {nan_row}: {single.value}"
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_empty_stack_gives_an_empty_batch(n):
+    h = np.zeros((0, n, n), dtype=complex)
+    for batch in (solve_spectrum_batch(h), solve_at(solve_spectrum_batch, h, str)):
+        assert batch.values.shape == (0, n) and batch.vectors.shape == (0, n, n)
+        assert batch.defective.shape == batch.norm_a.shape == (0, n)
+        assert batch.residual.shape == (0,)
+    assert solve_at(eigenvalues_batch, h, str).shape == (0, n)
 
 
 def reference_biorthogonality(batch):
