@@ -53,7 +53,8 @@ keeps as references. Four rules hold that:
   unfused loop;
 - a masking pass (np.where with a fallback) is skipped only when its
   mask selects nothing: it would copy every value, so no bit changes.
-Sums may be computed in place: they round the same in every loop.
+Sums and negations may be computed in place: a sum rounds the same
+in every loop, and a negation is exact.
 """
 
 from __future__ import annotations
@@ -461,7 +462,7 @@ def _canonicalize(vectors, defective, bilinear):
     vectors = vectors / root[:, :, None]
     lead = lead / root
     flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
-    vectors = np.where((regular & flip)[:, :, None], -vectors, vectors)
+    np.negative(vectors, out=vectors, where=(regular & flip)[:, :, None])
     if defective.any():
         norm = np.sqrt((np.abs(vectors) ** 2).sum(axis=2))
         phase = lead / np.where(np.abs(lead) == 0, 1.0, np.abs(lead))
@@ -520,7 +521,8 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
 
     hv = np.einsum("mij,mkj->mki", h, vectors)
-    residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
+    hv -= values[:, :, None] * vectors
+    residual = np.abs(hv).max(axis=(1, 2))
 
     # i = j is never checked (its gap is 0), so only points whose largest
     # off-diagonal overlap reaches BIORTH_TOL, or is NaN, can fail

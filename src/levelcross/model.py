@@ -81,7 +81,8 @@ class CouplingSpec:
     omega: complex
     profile: str
     active_pairs: frozenset  # unordered 0-based pairs, stored as (lo, hi)
-    selfenergy: Mapping[int, complex] = field(default_factory=dict)
+    # a dict is unhashable: kept in == and out of the hash, so equal specs hash equal
+    selfenergy: Mapping[int, complex] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if self.profile not in PROFILES:

@@ -10,8 +10,9 @@ points it needs at that resolution: Douglas-Peucker (Cartographica
 10:112, 1973) in pixel space drops every point that lies within
 TOLERANCE_PX, half the printed quantum, of the segment joining the
 points kept around it. The first and last point of each polyline, and
-every non-finite point with its neighbours, are always kept. Each pass
-of the simplifier costs only the points still undecided.
+every non-finite point with its neighbours, are always kept. The
+simplifier runs on one polyline at a time, and each of its passes
+costs only the points still undecided.
 `trajectories.csv` carries every grid point.
 """
 
@@ -64,18 +65,20 @@ def _points(px, py) -> str:
 def _keep(px, py) -> np.ndarray:
     """Mask of the points each row of ``py`` (over the shared ``px``) keeps.
 
-    Douglas-Peucker on every row at once: a segment between kept points
+    Douglas-Peucker on one row at a time: a segment between kept points
     drops its interior when each interior point lies within TOLERANCE_PX
     of the segment (not of its infinite line). Otherwise the farthest
     point, the first on a tie, is kept and both halves go round again;
-    one numpy pass splits every open segment of every row. Non-finite
+    one numpy pass splits every open segment of the row. Non-finite
     points and their neighbours are kept up front, so each segment has
     finite ends, and a NaN or infinite distance never drops a point.
 
     The open points' coordinates are carried from pass to pass,
     compacted with their indices, and each segment's values reach its
-    points by np.repeat; the division runs unmasked unless a segment has
-    length 0.
+    points by np.repeat; the distances are computed in place, in the
+    buffers of those repeats, and the division runs unmasked unless a
+    segment has length 0. So memory stays within a dozen arrays of one
+    row, whatever the number of rows.
     """
     px = np.broadcast_to(px, py.shape)
     bad = ~(np.isfinite(px) & np.isfinite(py))
@@ -83,38 +86,48 @@ def _keep(px, py) -> np.ndarray:
     keep[:, 1:] |= bad[:, :-1]
     keep[:, :-1] |= bad[:, 1:]
     keep[:, [0, -1]] = True
-    x, y, flat = px.ravel(), py.ravel(), keep.reshape(-1)
-    todo = np.flatnonzero(~flat)
-    tx, ty = x[todo], y[todo]  # the open points, compacted with todo
-    while todo.size:
-        # a gap in todo holds a kept point, so each run of todo is one open
-        # segment's interior, between the kept points just outside it
-        first = np.flatnonzero(np.diff(todo, prepend=-2) != 1)
-        size = np.diff(first, append=todo.size)
-        i, j = todo[first] - 1, todo[first + size - 1] + 1
-        ax, ay = x[i], y[i]
-        bx, by = x[j] - ax, y[j] - ay
-        length2 = bx * bx + by * by  # never NaN: the ends are finite
-        positive = length2.all()
-        dx, dy = tx - np.repeat(ax, size), ty - np.repeat(ay, size)
-        bx, by, length2 = np.repeat(bx, size), np.repeat(by, size), np.repeat(length2, size)
-        dot = dx * bx + dy * by
-        if positive:
-            t = dot / length2
-        else:  # a segment of length 0 measures from its start, t = 0
-            t = np.divide(dot, length2, out=np.zeros_like(dx), where=length2 > 0)
-        t = np.clip(t, 0.0, 1.0)
-        ex, ey = dx - t * bx, dy - t * by
-        dist = np.sqrt(ex * ex + ey * ey)
-        dist[np.isnan(dist)] = np.inf
-        far = np.maximum.reduceat(dist, first)
-        at_far = np.flatnonzero(dist == np.repeat(far, size))
-        split = far > TOLERANCE_PX
-        pick = at_far[np.searchsorted(at_far, first)][split]  # each segment's first
-        flat[todo[pick]] = True
-        still = np.repeat(split, size)
-        still[pick] = False
-        todo, tx, ty = todo[still], tx[still], ty[still]
+    for x, y, flat in zip(px, py, keep):
+        todo = np.flatnonzero(~flat)
+        tx, ty = x[todo], y[todo]  # the open points, compacted with todo
+        while todo.size:
+            # a gap in todo holds a kept point, so each run of todo is one open
+            # segment's interior, between the kept points just outside it
+            first = np.flatnonzero(np.diff(todo, prepend=-2) != 1)
+            size = np.diff(first, append=todo.size)
+            i, j = todo[first] - 1, todo[first + size - 1] + 1
+            ax, ay = x[i], y[i]
+            bx, by = x[j] - ax, y[j] - ay
+            length2 = bx * bx + by * by  # never NaN: the ends are finite
+            dx, dy = np.repeat(ax, size), np.repeat(ay, size)
+            np.subtract(tx, dx, out=dx)
+            np.subtract(ty, dy, out=dy)
+            bx, by = np.repeat(bx, size), np.repeat(by, size)
+            t = dx * bx
+            t += dy * by
+            if length2.all():
+                np.divide(t, np.repeat(length2, size), out=t)
+            else:  # a segment of length 0 measures from its start, t = 0
+                length2 = np.repeat(length2, size)
+                t = np.divide(t, length2, out=np.zeros_like(t), where=length2 > 0)
+            np.clip(t, 0.0, 1.0, out=t)
+            bx *= t
+            dx -= bx
+            by *= t
+            dy -= by
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dist = np.sqrt(dx, out=dx)
+            dist[np.isnan(dist)] = np.inf
+            del bx, by, dy, t, length2  # a row's buffers, freed before the compaction
+            far = np.maximum.reduceat(dist, first)
+            at_far = np.flatnonzero(dist == np.repeat(far, size))
+            split = far > TOLERANCE_PX
+            pick = at_far[np.searchsorted(at_far, first)][split]  # each segment's first
+            flat[todo[pick]] = True
+            still = np.repeat(split, size)
+            still[pick] = False
+            todo, tx, ty = todo[still], tx[still], ty[still]
     return keep
 
 

@@ -1248,9 +1248,10 @@ def test_gated_check_names_the_full_checks_point_on_star_scenarios(monkeypatch):
         got, want = gated_and_full_check(h, monkeypatch)
         assert got == want
         outcomes[order] = got
+    # the star6 fault that test_solver_faults.py records, and star7 and star8;
+    # the point each names follows the host's BLAS kernel and SIMD loops
     assert [order for order, got in outcomes.items() if got is None] == [2, 3, 4, 5]
-    # the star6 fault that test_solver_faults.py records
-    assert outcomes[6][0] == 1092 and f"{outcomes[6][1]:.3e}" == "1.168e-08"
+    assert [order for order, got in outcomes.items() if got is not None] == [6, 7, 8]
 
 
 @pytest.mark.parametrize("pid", PRESET_IDS)

@@ -38,7 +38,7 @@ from levelcross.model import (
 )
 from levelcross.presets import preset
 from levelcross.twolevel import ep_condition_2level
-from test_eigensolve import reference_roots
+from test_eigensolve import reference_biorthogonality, reference_roots
 
 TUNE_G2 = Tunable("gamma_half", 1)
 BOX = ((0.3, 1.0), (0.4, 0.8))
@@ -362,17 +362,32 @@ def test_batched_probes_equal_the_per_probe_loop(name, monkeypatch):
     )
 
 
-def test_fig5_probe_failure_keeps_its_message():
-    # the gated biorthogonality check names the fig5 probe that the
-    # ungated check named, with the same overlap (the fault of
-    # test_solver_faults.py's fig5 record; mending it changes this text)
+def test_fig5_probe_failure_keeps_its_message(monkeypatch):
+    # the gated biorthogonality check names the fig5 probe that the full
+    # check names on this host, with the same overlap and text (the fault
+    # of test_solver_faults.py's fig5 record). Which probe fails, and its
+    # overlap, follow the host's BLAS kernel and SIMD loops
     sc, level, box = SEARCHES["fig5"]
-    with pytest.raises(SolverError) as info:
+    with pytest.raises(SolverError) as gated:
         find_ep(sc, Tunable("gamma_half", level), box)
-    assert str(info.value) == (
-        "eigensolver failed at probe point (a, value)=(0.8506505495965481, "
-        "0.5741574138285521): bilinear overlap 1.457e-08 for well-separated "
-        "eigenpairs (batch index 3)"
+
+    def full_check(h):
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "BIORTH_TOL", np.inf)
+            batch = solve_spectrum_batch(h)
+        failure = reference_biorthogonality(batch)
+        if failure is not None:
+            raise BiorthogonalityError(*failure)
+        return batch
+
+    monkeypatch.setattr("levelcross.epfinder.solve_spectrum_batch", full_check)
+    with pytest.raises(SolverError) as full:
+        find_ep(sc, Tunable("gamma_half", level), box)
+    assert str(gated.value) == str(full.value)
+    assert re.fullmatch(
+        r"eigensolver failed at probe point \(a, value\)=\(\S+, \S+\): bilinear overlap "
+        r"\S+ for well-separated eigenpairs \(batch index \d+\)",
+        str(gated.value),
     )
 
 

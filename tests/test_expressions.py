@@ -198,7 +198,7 @@ def test_deep_expressions_parse_evaluate_compare_and_hash():
         for _ in range(2)
     )
     assert one.levels[0].energy_expr is not two.levels[0].energy_expr
-    assert one == two and hash(one.levels) == hash(two.levels)
+    assert one == two and hash(one) == hash(two)
     other = replace(one, levels=(LevelSpec(parse_expr(deep + " + 1"), 0.5), *one.levels[1:]))
     assert one != other
 

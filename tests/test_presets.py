@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,21 @@ def test_round_trip_is_exact(tmp_path):
         assert [to_text(lv.energy_expr) for lv in loaded.levels] == [
             to_text(lv.energy_expr) for lv in sc.levels
         ]
+
+
+def test_scenarios_hash_and_equal_ones_hash_equal(tmp_path):
+    # CouplingSpec.selfenergy, a dict, stays in == and out of the hash
+    scenarios = [preset(pid) for pid in PRESET_IDS]
+    for pid, sc in zip(PRESET_IDS, scenarios):
+        path = tmp_path / f"{pid}.json"
+        save_scenario(sc, path)
+        for loaded in (load_scenario(path), load_scenario(PACKAGED / f"{pid}.json")):
+            assert loaded == sc and hash(loaded) == hash(sc)
+    assert len(set(scenarios)) == len(scenarios)
+    sc = scenarios[0]
+    shifted = replace(sc, coupling=replace(sc.coupling, selfenergy={0: 0.1j}))
+    assert shifted != sc and len({sc, shifted}) == 2
+    assert hash(shifted) == hash(replace(shifted, coupling=replace(shifted.coupling)))
 
 
 def test_packaged_files_are_canonical(tmp_path):

@@ -1,6 +1,7 @@
 """Polyline decimation: every dropped point lies within the tolerance of the drawn line."""
 
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -188,6 +189,28 @@ def test_keep_matches_the_regathering_passes_on_awkward_rows():
     px = np.concatenate((np.arange(30.0), np.arange(30.0)[::-1]))
     py = np.vstack((np.zeros(60), np.sin(np.arange(60.0) * np.pi / 59) ** 2, 0.001 * px))
     assert np.array_equal(svgplot._keep(px, py), reference_batched_keep(px, py))
+
+
+def test_keep_memory_is_bounded():
+    # one polyline at a time: the masks bad and keep, one byte a point of
+    # every row, and at most 12 arrays of one row's floats or indices: the
+    # open points and their coordinates (3), the last pass's distances (1),
+    # the pass's dx, dy, bx, by and t with one temporary (6), and one each
+    # for a pass's one-byte masks and its per-segment arrays (2). Every row
+    # at once peaked at 111 MB on this panel, out-of-place distances at 14.5 MB
+    rows, m = 8, 10**5
+    px = np.linspace(72.0, 612.0, m)
+    k = np.arange(rows)[:, None]
+    bump = 20.0 * np.exp(-(((px - 300.0 - 20.0 * k) / 3.0) ** 2))
+    py = 200.0 + 100.0 * np.sin((k + 1) * px / 40.0 + k) + bump
+    tracemalloc.start()
+    try:
+        keep = svgplot._keep(px, py)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows * m + 12 * 8 * m
+    assert 2 * rows < keep.sum() < rows * m // 10
 
 
 def test_equally_far_points_split_at_the_first():
