@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigensolve
 from .eigensolve import EPS, SpectrumBatch, pair_indices, solve_at, solve_spectrum_batch
 from .model import Scenario, bare_levels, build_hamiltonian_batch
 
@@ -126,14 +127,23 @@ def _step_permutations(batch: SpectrumBatch) -> np.ndarray:
     Maximizes the summed Hermitian overlap magnitude of the eigenvector
     pairs. A step touching a defective point falls back to eigenvalue
     proximity; eigenvalue distance breaks ties either way.
+
+    The tables are built eigensolve.SOLVE_BLOCK steps at a time, so they
+    stay one solve block long at any grid size: steps [lo, hi) read
+    points lo..hi. Each step is decided on its own matrices, so the
+    result does not depend on the block size.
     """
-    overlap = np.abs(
-        np.einsum("mik,mjk->mij", np.conj(batch.vectors[:-1]), batch.vectors[1:])
-    )
-    dist = np.abs(batch.values[:-1, :, None] - batch.values[1:, None, :])
-    any_def = batch.defective.any(axis=1)
-    fallback = any_def[:-1] | any_def[1:]
-    return _best_assignment(np.where(fallback[:, None, None], -dist, overlap), dist)
+    m, n = batch.values.shape
+    steps = np.empty((m - 1, n), dtype=int)
+    for lo in range(0, m - 1, eigensolve.SOLVE_BLOCK):
+        hi = lo + eigensolve.SOLVE_BLOCK  # the slices stop at the last step and point
+        vectors, values = batch.vectors[lo : hi + 1], batch.values[lo : hi + 1]
+        overlap = np.abs(np.einsum("mik,mjk->mij", np.conj(vectors[:-1]), vectors[1:]))
+        dist = np.abs(values[:-1, :, None] - values[1:, None, :])
+        any_def = batch.defective[lo : hi + 1].any(axis=1)
+        fallback = any_def[:-1] | any_def[1:]
+        steps[lo:hi] = _best_assignment(np.where(fallback[:, None, None], -dist, overlap), dist)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,11 @@ class SweepResult:
 def run_sweep(scenario: Scenario) -> SweepResult:
     """Solve the scenario over its sweep grid and track branches.
 
-    The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points;
-    branch matching is a sequential left-to-right pass. The result, and
-    the grid point a failure names, do not depend on the block size.
+    The grid is solved by `solve_at`, in blocks of SOLVE_BLOCK points,
+    and its steps are matched by `_step_permutations` in blocks of
+    SOLVE_BLOCK steps; the branches then follow the steps left to right.
+    The result, and the grid point a failure names, do not depend on
+    the block size.
     """
     a = scenario.sweep.points()
     batch = solve_at(

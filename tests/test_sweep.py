@@ -31,7 +31,7 @@ from levelcross.model import (
     save_scenario,
     scenario_from_dict,
 )
-from levelcross import sweep
+from levelcross import eigensolve, sweep
 from levelcross.presets import PRESET_IDS, preset
 from levelcross.sweep import (
     MATCH_BLOCK,
@@ -412,6 +412,14 @@ def test_best_assignment_matches_the_full_enumeration_on_random_stacks():
         assert np.array_equal(_best_assignment(score, tiebreak), want)
 
 
+def sized(case, steps):
+    """A preset, the twin or a star scenario on a steps-point grid."""
+    if case.startswith("star"):
+        return scenario_from_dict(star_spec(int(case[4:]), steps))
+    sc = twin_fig1() if case == "twin" else preset(case)
+    return replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, steps))
+
+
 @pytest.mark.parametrize(
     "case",
     [*PRESET_IDS, "star2", "star3", "star4", "star5", "star6"],
@@ -430,16 +438,87 @@ def test_matcher_decisions_match_the_full_enumeration(case, monkeypatch):
     # star6 fails its biorthogonality check at 2001 points (test_solver_faults.py)
     sizes = (101,) if case == "star6" else (101, 2001) if case.startswith("star") else (101, 2001, 10_000)
     for steps in sizes:
-        if case.startswith("star"):
-            sc = scenario_from_dict(star_spec(int(case[4:]), steps))
-        else:
-            sc = preset(case)
-            sc = replace(sc, sweep=SweepGrid(sc.sweep.a_min, sc.sweep.a_max, steps))
         calls.clear()
-        detect_crossings(run_sweep(sc))
-        assert [len(score) for score, _, _ in calls] == [steps - 1, 1, 1]
+        detect_crossings(run_sweep(sized(case, steps)))
+        # the steps in blocks of SOLVE_BLOCK, then the start and end levels
+        *blocks, start, end = [len(score) for score, _, _ in calls]
+        assert len(blocks) == -(-(steps - 1) // eigensolve.SOLVE_BLOCK)
+        assert max(blocks) <= eigensolve.SOLVE_BLOCK and sum(blocks) == steps - 1
+        assert (start, end) == (1, 1)
         for score, tiebreak, got in calls:
             assert np.array_equal(got, reference_best_assignment(score, tiebreak))
+
+
+@pytest.mark.parametrize(
+    "case, steps",
+    [
+        ("fig4", 10_000),
+        ("fig5", 10_000),
+        ("two_cross_two", 10_000),
+        ("twin", 2001),
+        *((f"star{n}", 2001) for n in range(2, 6)),
+    ],
+)
+def test_step_permutations_do_not_depend_on_the_block(case, steps, monkeypatch):
+    sc = sized(case, steps)
+    batch = solve_spectrum_batch(build_hamiltonian_batch(sc, sc.sweep.points()))
+    got = []
+    for block in (16, 4096, steps):  # 625 or 125 blocks, 3 or 1, and 1
+        monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)
+        got.append(_step_permutations(batch))
+    assert got[0].shape == (steps - 1, batch.values.shape[1])
+    for perms in got[1:]:
+        assert perms.dtype == got[0].dtype and np.array_equal(perms, got[0])
+
+
+def test_step_block_edges_on_fallback_steps(monkeypatch):
+    # fig3 with a constant coupling profile has its EP at a = 0.6, grid
+    # point 1200 of 3001, so steps 1199 and 1200 fall back to eigenvalue
+    # distance. Two more pairs of levels cross, one inside each step,
+    # where distance swaps them and the overlaps do not: the fallback
+    # decides both steps. A block edge is put before, between and after
+    # the two steps.
+    sc = scenario(
+        ["1 - a/2", "a", "2 + (a - 0.59975)", "2 - (a - 0.59975)",
+         "3 + (a - 0.60025)", "3 - (a - 0.60025)"],
+        [0.5, 0.5, 0.3, 0.3, 0.2, 0.2],
+        omega=0.05j, pairs=[(0, 1)], grid=(0.0, 1.5, 3001),
+    )
+    batch = solve_spectrum_batch(build_hamiltonian_batch(sc, sc.sweep.points()))
+    any_def = batch.defective.any(axis=1)
+    assert np.flatnonzero(any_def[:-1] | any_def[1:]).tolist() == [1199, 1200]
+    whole = _step_permutations(batch)
+    by_overlap = _step_permutations(replace(batch, defective=np.zeros_like(batch.defective)))
+    assert np.flatnonzero((whole != by_overlap).any(axis=1)).tolist() == [1199, 1200]
+    for block in (1199, 1200, 1201):
+        monkeypatch.setattr("levelcross.eigensolve.SOLVE_BLOCK", block)
+        assert np.array_equal(_step_permutations(batch), whole), block
+
+
+def test_step_tables_memory_is_bounded():
+    # a 4-level spectrum of random unit vectors, not solved: the tables of
+    # the whole sweep at once took 64 MB at 10^5 points, blocks take one
+    # block's worth at any length, beside the (m-1, n) result
+    rng = np.random.default_rng(11)
+
+    def peak(m):
+        vectors = rng.normal(size=(m, 4, 4)) + 1j * rng.normal(size=(m, 4, 4))
+        vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+        batch = SpectrumBatch(
+            values=rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4)),
+            vectors=vectors,
+            defective=np.zeros((m, 4), dtype=bool),
+            norm_a=np.ones((m, 4)),
+            residual=np.zeros(m),
+        )
+        tracemalloc.start()
+        try:
+            _step_permutations(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**5) <= 1.5 * peak(2 * eigensolve.SOLVE_BLOCK)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
