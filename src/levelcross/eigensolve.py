@@ -23,27 +23,37 @@ eigenvalue gap at an exact coalescence would float at the sqrt(eps)
 noise level and coalescence could never be detected cleanly.
 
 Every eigenvalue takes its null vector from its own elimination of
-H - lambda I, free in the column of the smallest pivot. Exactly
-degenerate eigenvalues are a run of equal values in the sorted row (the
-snap makes a double pair bit-equal), so each member's elimination is the
-same. With two or more pivots below TINY_PIVOT_FACTOR * eps * max(max|H|, 1)
-the run is a true crossing: its r-th member takes the r-th smallest
-pivot (stable order) as free column, holds the other tiny columns at 0
-and is bilinearly orthogonalized against the r members before it;
-otherwise the members keep one shared direction, flagged defective
-downstream. A failure names its
+H - lambda I, free in the column of the smallest pivot, the first on a
+tie. Exactly degenerate eigenvalues are a run of equal values in the
+sorted row (the snap makes a double pair bit-equal), so each member's
+elimination is the same. With two or more pivots below
+TINY_PIVOT_FACTOR * eps * max(max|H|, 1) the run is a true crossing: its
+r-th member takes the r-th smallest pivot (stable order) as free column,
+holds the other tiny columns at 0 and is bilinearly orthogonalized
+against the r members before it; otherwise the members keep one shared
+direction, flagged defective downstream. The free column is np.argmin's
+pick, which is the stable sort's first entry, except at a point that is
+a true crossing or has a NaN pivot (argmin takes the first NaN, the sort
+puts NaN last): only those points are sorted. A failure names its
 batch index. Sweeps and EP searches solve through `solve_at`, which cuts
 the stack into blocks of SOLVE_BLOCK rows and turns the index into the
 caller's point.
 
-Inside, the root finder and the elimination put the points on the last,
-fast axis: coefficients (n+1, m), roots (n, m), matrices (n, n, m). Each
-transposes once on entry and once on exit, so callers see (m, ...), and
-each gives the bits of the row-major loops that tests/test_eigensolve.py
-keeps as references. Four rules hold that:
-- the Aberth repulsion sum_j 1/(z_i - z_j) is added by `_reduce_sum` in
-  the order numpy's add.reduce uses on a contiguous axis of length n,
-  which test_reduce_sum_is_four_accumulator_order pins;
+Inside, the root finder and the vector stage put the points on the
+last, fast axis: coefficients (n+1, m), roots (n, m), matrices (n, n, m),
+null vectors (n, m). The root finder transposes on entry and on exit;
+the vector stage copies the block point-major once, and per eigenvalue
+shifts a fresh copy's diagonal through one strided view, eliminates it
+in place and back-substitutes from it. Callers see (m, ...), and each
+stage gives the bits of the row-major loops that tests/test_eigensolve.py
+keeps as references, but for a NaN's sign bit, which a sum takes from
+whichever NaN term it meets first and no output shows. (The row-major
+H - lambda I also subtracted lambda * 0 off the diagonal, which could
+only turn a -0.0 entry into +0.0.) Four rules hold that:
+- the Aberth repulsion sum_j 1/(z_i - z_j) and each back-substitution
+  row's sum are added by `_reduce_sum` in the order numpy's add.reduce
+  uses on a contiguous axis of length n, which
+  test_reduce_sum_is_four_accumulator_order pins;
 - a complex product keeps its operand order and is never computed in
   place. numpy's vector loop fuses a multiply and an add, so a*b and b*a
   can differ in the last bit; from 256 KB numpy may evaluate
@@ -359,20 +369,18 @@ def poly_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # null vectors via complex Gaussian elimination with partial pivoting
 
-def _eliminate(amat: np.ndarray):
-    """Upper-triangular factor of each batch matrix, plus |pivots|.
+def _eliminate(a: np.ndarray) -> np.ndarray:
+    """Upper-triangular factor of each matrix of a point-major stack, in place.
 
-    amat (m, n, n) -> u (m, n, n), |pivots| (m, n). Elimination with
-    partial (row) pivoting, the first largest modulus winning; columns
-    keep their order, so a tiny pivot marks a null direction. The work
-    is point-major: the stack is transposed once to (n, n, m), pivots
-    are chosen along the rows with argmax(axis=0), a row that is some
-    point's pivot is swapped into place by np.where, and u is transposed
-    back at the end. The bits are those of the (m, n, n) row-pivoted
+    a (n, n, m), point p's matrix a[:, :, p], becomes its u; returns
+    |pivots| (n, m). Elimination with partial (row) pivoting, the first
+    largest modulus winning; columns keep their order, so a tiny pivot
+    marks a null direction. Pivots are chosen along the rows with
+    argmax(axis=0), and a row that is some point's pivot is swapped into
+    place by np.where. The bits are those of the (m, n, n) row-pivoted
     loop, `_reference_eliminate` in the tests.
     """
-    a = np.moveaxis(np.asarray(amat, dtype=complex), 0, -1).copy()
-    n = a.shape[0]
+    n, m = a.shape[1], a.shape[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n - 1):
             # rows k.. are 0 left of column k, so the swap moves columns k..
@@ -389,27 +397,28 @@ def _eliminate(amat: np.ndarray):
             # (r, 1, m) * (1, r, m): never a broadcast to one element (module docstring)
             a[k + 1 :, k + 1 :] -= factor[:, None] * a[k, None, k + 1 :]
             a[k + 1 :, k] = 0.0
-    u = np.ascontiguousarray(np.moveaxis(a, -1, 0))
-    return u, np.abs(np.diagonal(u, axis1=1, axis2=2))
+    return np.abs(a.reshape(n * n, m)[:: n + 1])
 
 
 def _back_substitute(u: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.ndarray:
     """Solve u x = 0 with x[free] = 1 and every entry past free 0.
 
-    held (m, n) marks columns kept at 0 rather than solved for: the other
-    null directions of a true crossing.
+    Point-major: u (n, n, m), free (m,), x (n, m). held (n, m) marks
+    columns kept at 0 rather than solved for: the other null directions
+    of a true crossing. Row i's sum is added by `_reduce_sum`, the order
+    of the row-major loop's .sum(axis=1).
     """
-    m, n = u.shape[0], u.shape[1]
-    x = np.zeros((m, n), dtype=complex)
-    x[np.arange(m), free] = 1.0
+    n, m = u.shape[1], u.shape[2]
+    x = np.zeros((n, m), dtype=complex)
+    x[free, np.arange(m)] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 2, -1, -1):
-            active = (i < free) & ~held[:, i]
-            partial = -(u[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
-            head = u[:, i, i]
+            active = (i < free) & ~held[i]
+            partial = -_reduce_sum(u[i, i + 1 :] * x[i + 1 :])
+            head = u[i, i]
             xi = partial / np.where(head == 0, 1.0, head)
             xi = np.where(head == 0, 0.0, xi)
-            x[:, i] = np.where(active, xi, x[:, i])
+            x[i] = np.where(active, xi, x[i])
     return x
 
 
@@ -449,14 +458,14 @@ def eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, order, axis=1)
 
 
-def _canonicalize(vectors, defective, bilinear):
+def _canonicalize(vectors, defective, bilinear, largest):
     """Deterministic gauge: bilinear normalization for regular pairs
     (largest component's real part positive), unit Euclidean length and
     real-positive largest component for defective ones. bilinear is
-    (vectors * vectors).sum(axis=2), which the caller has at hand."""
-    lead = np.take_along_axis(
-        vectors, np.argmax(np.abs(vectors), axis=2)[:, :, None], axis=2
-    )[:, :, 0]
+    (vectors * vectors).sum(axis=2) and largest the index of each vector's
+    largest component, np.argmax(np.abs(vectors), axis=2), which the
+    caller has at hand."""
+    lead = np.take_along_axis(vectors, largest[:, :, None], axis=2)[:, :, 0]
     regular = ~defective
     root = np.sqrt(np.where(regular, bilinear, 1.0))
     vectors = vectors / root[:, :, None]
@@ -494,29 +503,41 @@ def solve_spectrum_batch(h: np.ndarray) -> SpectrumBatch:
     rank = np.arange(n) - np.maximum.accumulate(np.where(same[:, :n], 0, np.arange(n)), axis=1)
     limit = TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h).max(axis=(1, 2)), 1.0)
 
+    # point-major (module docstring): one copy of the block, shifted per eigenvalue
+    ht = np.ascontiguousarray(np.moveaxis(h, 0, -1))
+    vt, cols = np.ascontiguousarray(values.T), np.arange(m)
     vectors = np.empty((m, n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
     for i in range(n):
-        u, pivots = _eliminate(h - values[:, i, None, None] * eye)
+        a = ht.copy()
+        a.reshape(n * n, m)[:: n + 1] -= vt[i]  # the diagonal
+        pivots = _eliminate(a)
         # a true crossing (module docstring): a run with two or more tiny pivots
-        tiny = pivots <= limit[:, None]
-        crossing = (same[:, i] | same[:, i + 1]) & (tiny.sum(axis=1) >= 2)
+        tiny = pivots <= limit
+        crossing = (same[:, i] | same[:, i + 1]) & (tiny.sum(axis=0) >= 2)
         r = np.where(crossing, rank[:, i], 0)
-        free = np.argsort(pivots, axis=1, kind="stable")[np.arange(m), r]
-        v = _back_substitute(u, free, tiny & crossing[:, None])
+        free = np.argmin(pivots, axis=0)
+        # argmin is the stable argsort's first entry, but for a NaN, which the sort puts last
+        if (sort := crossing | np.isnan(pivots[free, cols])).any():
+            rows = np.flatnonzero(sort)
+            order = np.argsort(pivots[:, rows], axis=0, kind="stable")
+            free[rows] = order[r[rows], np.arange(rows.size)]
+        vectors[:, i, :] = _back_substitute(a, free, tiny & crossing).T
         with np.errstate(divide="ignore", invalid="ignore"):
             for t in range(r.max(initial=0)):  # against the members before, in order
                 rows = np.flatnonzero(t < r)
-                b, w = vectors[rows, i - r[rows] + t], v[rows]
+                b, w = vectors[rows, i - r[rows] + t], vectors[rows, i]
                 bb = (b * b).sum(axis=1)
                 keep = np.abs(bb) > DEFECTIVE_RTOL * (np.abs(b) ** 2).sum(axis=1)
-                v[rows] = np.where(keep[:, None], w - ((w * b).sum(axis=1) / bb)[:, None] * b, w)
-        vectors[:, i, :] = v
+                vectors[rows, i] = np.where(keep[:, None], w - ((w * b).sum(axis=1) / bb)[:, None] * b, w)
+    del ht, a
 
     bilinear = (vectors * vectors).sum(axis=2)
-    euclid = (np.abs(vectors) ** 2).sum(axis=2)
+    magnitude = np.abs(vectors)
+    largest = np.argmax(magnitude, axis=2)
+    euclid = np.square(magnitude, out=magnitude).sum(axis=2)
+    del magnitude
     defective = np.abs(bilinear) < DEFECTIVE_RTOL * euclid
-    vectors = _canonicalize(vectors, defective, bilinear)
+    vectors = _canonicalize(vectors, defective, bilinear, largest)
 
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
 

@@ -132,11 +132,15 @@ def _keep(px, py) -> np.ndarray:
 
 
 def _axes(result: SweepResult, rows: np.ndarray):
-    """Data-to-pixel maps of a panel whose y range covers the (k, m) ``rows``,
-    and its x and y ranges."""
+    """Data-to-pixel maps of a panel whose y range covers the finite
+    values of the (k, m) ``rows``, and its x and y ranges. sy maps in
+    place into ``out`` when it is given."""
     x_lo, x_hi = float(result.a[0]), float(result.a[-1])
-    finite = rows[np.isfinite(rows)]
-    y_lo, y_hi = float(finite.min()), float(finite.max())
+    finite = np.isfinite(rows)
+    if not finite.any():
+        raise ValueError("a panel needs at least one finite value")
+    y_lo = float(rows.min(where=finite, initial=np.inf))
+    y_hi = float(rows.max(where=finite, initial=-np.inf))
     if y_hi - y_lo < 1e-12:
         pad = max(abs(y_hi), 1.0) * 0.05
     else:
@@ -146,8 +150,11 @@ def _axes(result: SweepResult, rows: np.ndarray):
     def sx(v):
         return _PX0 + (v - x_lo) / (x_hi - x_lo) * (_PX1 - _PX0)
 
-    def sy(v):
-        return _PY1 - (v - y_lo) / (y_hi - y_lo) * (_PY1 - _PY0)
+    def sy(v, out=None):
+        v = np.subtract(v, y_lo, out=out)
+        v = np.divide(v, y_hi - y_lo, out=out)
+        v = np.multiply(v, _PY1 - _PY0, out=out)
+        return np.subtract(_PY1, v, out=out)
 
     return sx, sy, (x_lo, x_hi), (y_lo, y_hi)
 
@@ -157,7 +164,7 @@ def _panel(result: SweepResult, ylabel: str, branches: np.ndarray, bare: np.ndar
     rows = np.concatenate((bare, branches), axis=1).T
     n_bare, n_branches = bare.shape[1], branches.shape[1]
     sx, sy, x_range, y_range = _axes(result, rows)
-    px, py = sx(result.a), sy(rows)
+    px, py = sx(result.a), sy(rows, out=rows)  # the stacked copy is the panel's own
     keep = _keep(px, py)
     points = [_points(px[k], y[k]) for y, k in zip(py, keep)]
     title = result.scenario.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

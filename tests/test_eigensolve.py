@@ -8,6 +8,7 @@ known spectra. Random inputs are seeded and symmetrized.
 import inspect
 import re
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -646,11 +647,13 @@ def test_reduce_sum_is_four_accumulator_order(k):
 
 
 # ---------------------------------------------------------------------------
-# elimination against the row-pivoted (m, n, n) loop
+# elimination and back-substitution against the row-major (m, n, n) loops
 #
-# The reference is _eliminate as it was before it moved the points onto
-# the last axis: one matrix per leading index, rows swapped by fancy
-# indexing. The point-major version must give the same bits.
+# The references are _eliminate and _back_substitute as they were before
+# the points moved onto the last axis: one matrix per leading index, rows
+# swapped by fancy indexing, each row's sum by .sum(axis=1). The
+# point-major versions take and give (n, n, m), (n, m) arrays; the tests
+# transpose to them and back and must find the same bits.
 
 
 def _reference_eliminate(amat: np.ndarray):
@@ -677,22 +680,68 @@ def _reference_eliminate(amat: np.ndarray):
     return a, np.abs(np.diagonal(a, axis1=1, axis2=2))
 
 
+def _reference_back_substitute(u, free, held):
+    """Solve u x = 0 with x[free] = 1 and every entry past free 0; u (m, n, n),
+    free (m,), held (m, n) columns kept at 0; x (m, n)."""
+    m, n = u.shape[0], u.shape[1]
+    x = np.zeros((m, n), dtype=complex)
+    x[np.arange(m), free] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            active = (i < free) & ~held[:, i]
+            partial = -(u[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
+            head = u[:, i, i]
+            xi = partial / np.where(head == 0, 1.0, head)
+            xi = np.where(head == 0, 0.0, xi)
+            x[:, i] = np.where(active, xi, x[:, i])
+    return x
+
+
+def point_major(stack):
+    """A contiguous (n, n, m) copy of an (m, n, n) stack."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(stack, dtype=complex), 0, -1))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+
 def assert_same_elimination(amat):
+    a = point_major(amat)
     with np.errstate(over="ignore", invalid="ignore"):
-        want, got = _reference_eliminate(amat), es._eliminate(amat)
-    for w, g in zip(want, got):
-        assert g.shape == w.shape
-        assert np.array_equal(np.ascontiguousarray(g).view(np.uint64), w.view(np.uint64))
+        want_u, want_pivots = _reference_eliminate(amat)
+        pivots = es._eliminate(a)
+    assert_same_bits(np.moveaxis(a, -1, 0), want_u)
+    assert_same_bits(pivots.T, want_pivots)
+    return want_u, want_pivots
+
+
+def assert_same_back_substitution(amat, rng):
+    """Back-substitute the factors of amat from every free column the
+    solver can pick (the first smallest pivot, the last, a random one)
+    with no held column and with random held columns."""
+    u, pivots = assert_same_elimination(amat)
+    m, n = pivots.shape
+    frees = [np.argmin(pivots, axis=1), np.argsort(pivots, axis=1, kind="stable")[:, -1]]
+    frees.append(rng.integers(0, n, size=m))
+    for free in frees:
+        for held in (np.zeros((m, n), dtype=bool), rng.random((m, n)) < 0.3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _reference_back_substitute(u, free, held)
+                got = es._back_substitute(point_major(u), free, np.ascontiguousarray(held.T))
+            assert_same_bits(got.T, want)
 
 
 def assert_same_elimination_at_each_eigenvalue(h):
     values = eigenvalues_batch(h)
     eye = np.eye(h.shape[1], dtype=complex)
+    rng = np.random.default_rng(h.shape[0] + h.shape[1])
     for i in range(h.shape[1]):
         amat = h - values[:, i, None, None] * eye
-        assert_same_elimination(amat)
+        assert_same_back_substitution(amat, rng)
         for q in range(0, len(amat), 500):  # one matrix alone, as the EP search solves it
-            assert_same_elimination(amat[q : q + 1])
+            assert_same_back_substitution(amat[q : q + 1], rng)
 
 
 def awkward_stacks(rng, n):
@@ -731,8 +780,8 @@ def test_elimination_matches_the_row_loop_on_star_scenarios(order):
 def test_elimination_matches_the_row_loop_on_awkward_stacks(n):
     rng = np.random.default_rng(90 + n)
     for stack in awkward_stacks(rng, n):
-        assert_same_elimination(stack)
-        assert_same_elimination(stack[:1])
+        assert_same_back_substitution(stack, rng)
+        assert_same_back_substitution(stack[:1], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +872,11 @@ def roots_snapped(h, doubled):
 
 
 def test_rotated_true_crossings_get_independent_vectors(monkeypatch):
-    members = []  # per call, the crossing members: rows that hold a column at 0
+    members = []  # per call, the crossing members: points that hold a column at 0
     original = es._back_substitute
 
     def counting(u, free, held):
-        members.append(int(held.any(axis=1).sum()))
+        members.append(int(held.any(axis=0).sum()))
         return original(u, free, held)
 
     monkeypatch.setattr(es, "_back_substitute", counting)
@@ -864,14 +913,14 @@ def reference_repair_degenerate(values, vectors, h, near):
             if len(group) < 2:
                 continue
             seen.update(group)
-            u, profile = es._eliminate((h[point] - values[point, i] * np.eye(n))[None])
+            u, profile = _reference_eliminate((h[point] - values[point, i] * np.eye(n))[None])
             tiny = profile <= es.TINY_PIVOT_FACTOR * EPS * max(scale[point], 1.0)
             if int(tiny.sum()) < 2:
                 continue  # defective coalescence: shared direction stands
             order = np.argsort(profile[0], kind="stable")
             basis = []
             for member, free in zip(group, order[: len(group)]):
-                v = es._back_substitute(u, free[None], tiny)[0]
+                v = _reference_back_substitute(u, free[None], tiny)[0]
                 for b in basis:
                     bb = (b * b).sum()
                     if abs(bb) > es.DEFECTIVE_RTOL * (np.abs(b) ** 2).sum():
@@ -889,9 +938,9 @@ def reference_spectrum(h):
     vectors = np.empty((m, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
     for i in range(n):
-        u, pivots = es._eliminate(h - values[:, i, None, None] * eye)
+        u, pivots = _reference_eliminate(h - values[:, i, None, None] * eye)
         free = np.argmin(pivots, axis=1)
-        vectors[:, i, :] = es._back_substitute(u, free, np.zeros(pivots.shape, dtype=bool))
+        vectors[:, i, :] = _reference_back_substitute(u, free, np.zeros(pivots.shape, dtype=bool))
     gap = np.abs(values[:, :, None] - values[:, None, :])
     idx = np.arange(n)
     gap_offdiag = gap + np.where(idx[:, None] == idx[None, :], np.inf, 0.0)
@@ -901,7 +950,7 @@ def reference_spectrum(h):
     bilinear = (vectors * vectors).sum(axis=2)
     euclid = (np.abs(vectors) ** 2).sum(axis=2)
     defective = np.abs(bilinear) < es.DEFECTIVE_RTOL * euclid
-    vectors = _canonicalize(vectors, defective, bilinear)
+    vectors = _stack_major_canonicalize(vectors, defective, bilinear)
     norm_a = (np.abs(vectors) ** 2).sum(axis=2)
     hv = np.einsum("mij,mkj->mki", h, vectors)
     residual = np.abs(hv - values[:, :, None] * vectors).max(axis=(1, 2))
@@ -1042,6 +1091,246 @@ def test_near_eigenvalues_are_bit_equal_on_presets(pid):
     near_values_are_bit_equal(grid_hamiltonians(preset(pid), 2001))
 
 
+# ---------------------------------------------------------------------------
+# the vector stage as it was: the stack-major shift h - lambda I, the
+# elimination transposed in and out, the stable argsort and the (m, n, n)
+# back-substitution. Copied verbatim but for names; every array
+# solve_spectrum_batch returns, and every error, must have its bits.
+
+
+def _stack_major_eliminate(amat):
+    a = np.moveaxis(np.asarray(amat, dtype=complex), 0, -1).copy()
+    n = a.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            # rows k.. are 0 left of column k, so the swap moves columns k..
+            piv = k + np.argmax(np.abs(a[k:, k]), axis=0)
+            top = a[k, k:].copy()
+            for r in range(k + 1, n):
+                hit = piv == r
+                if hit.any():
+                    a[k, k:] = np.where(hit, a[r, k:], a[k, k:])
+                    a[r, k:] = np.where(hit, top, a[r, k:])
+            head = a[k, k]
+            safe = np.where(head == 0, 1.0, head)
+            factor = np.where(head == 0, 0.0, a[k + 1 :, k] / safe)
+            # (r, 1, m) * (1, r, m): never a broadcast to one element (module docstring)
+            a[k + 1 :, k + 1 :] -= factor[:, None] * a[k, None, k + 1 :]
+            a[k + 1 :, k] = 0.0
+    u = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return u, np.abs(np.diagonal(u, axis1=1, axis2=2))
+
+
+def _stack_major_canonicalize(vectors, defective, bilinear):
+    lead = np.take_along_axis(
+        vectors, np.argmax(np.abs(vectors), axis=2)[:, :, None], axis=2
+    )[:, :, 0]
+    regular = ~defective
+    root = np.sqrt(np.where(regular, bilinear, 1.0))
+    vectors = vectors / root[:, :, None]
+    lead = lead / root
+    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
+    np.negative(vectors, out=vectors, where=(regular & flip)[:, :, None])
+    if defective.any():
+        norm = np.sqrt((np.abs(vectors) ** 2).sum(axis=2))
+        phase = lead / np.where(np.abs(lead) == 0, 1.0, np.abs(lead))
+        fix = np.where(defective, np.conj(phase) / norm, 1.0)
+        vectors = vectors * fix[:, :, None]
+    return vectors
+
+
+def stack_major_spectrum(h):
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("expected a stack of square matrices (m, n, n)")
+    m, n = h.shape[0], h.shape[1]
+    values = es.eigenvalues_batch(h)
+
+    # same[:, i]: values i - 1 and i are equal; rank: the place of i in its run
+    same = np.zeros((m, n + 1), dtype=bool)
+    same[:, 1:n] = values[:, 1:] == values[:, :-1]
+    rank = np.arange(n) - np.maximum.accumulate(np.where(same[:, :n], 0, np.arange(n)), axis=1)
+    limit = es.TINY_PIVOT_FACTOR * EPS * np.maximum(np.abs(h).max(axis=(1, 2)), 1.0)
+
+    vectors = np.empty((m, n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for i in range(n):
+        u, pivots = _stack_major_eliminate(h - values[:, i, None, None] * eye)
+        # a true crossing (module docstring): a run with two or more tiny pivots
+        tiny = pivots <= limit[:, None]
+        crossing = (same[:, i] | same[:, i + 1]) & (tiny.sum(axis=1) >= 2)
+        r = np.where(crossing, rank[:, i], 0)
+        free = np.argsort(pivots, axis=1, kind="stable")[np.arange(m), r]
+        v = _reference_back_substitute(u, free, tiny & crossing[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(r.max(initial=0)):  # against the members before, in order
+                rows = np.flatnonzero(t < r)
+                b, w = vectors[rows, i - r[rows] + t], v[rows]
+                bb = (b * b).sum(axis=1)
+                keep = np.abs(bb) > es.DEFECTIVE_RTOL * (np.abs(b) ** 2).sum(axis=1)
+                v[rows] = np.where(keep[:, None], w - ((w * b).sum(axis=1) / bb)[:, None] * b, w)
+        vectors[:, i, :] = v
+
+    bilinear = (vectors * vectors).sum(axis=2)
+    euclid = (np.abs(vectors) ** 2).sum(axis=2)
+    defective = np.abs(bilinear) < es.DEFECTIVE_RTOL * euclid
+    vectors = _stack_major_canonicalize(vectors, defective, bilinear)
+
+    norm_a = (np.abs(vectors) ** 2).sum(axis=2)
+
+    hv = np.einsum("mij,mkj->mki", h, vectors)
+    hv -= values[:, :, None] * vectors
+    residual = np.abs(hv).max(axis=(1, 2))
+
+    # i = j is never checked (its gap is 0), so only points whose largest
+    # off-diagonal overlap reaches BIORTH_TOL, or is NaN, can fail
+    overlap = np.abs(np.einsum("mik,mjk->mij", vectors, vectors))
+    overlap[:, np.arange(n), np.arange(n)] = 0.0
+    worst = np.zeros(m)
+    if (suspect := np.flatnonzero(~(overlap.max(axis=(1, 2)) < BIORTH_TOL))).size:
+        near, regular = values[suspect], ~defective[suspect]
+        gap = np.abs(near[:, :, None] - near[:, None, :])
+        checked = (gap > GAP_GUARD) & regular[:, :, None] & regular[:, None, :]
+        worst[suspect] = np.where(checked, overlap[suspect], 0.0).max(axis=(1, 2))
+    if not (worst < BIORTH_TOL).all():  # a NaN fails too, and argmax names the first NaN
+        k = int(np.argmax(worst))
+        raise BiorthogonalityError(k, float(worst[k]))
+
+    return es.SpectrumBatch(
+        values=values,
+        vectors=vectors,
+        defective=defective,
+        norm_a=norm_a,
+        residual=residual,
+    )
+
+
+def bits(a):
+    """A float or complex array as uint64 views, every NaN made one NaN:
+    a NaN's sign bit follows the order in which a sum meets its NaN terms,
+    which numpy leaves open, and no output shows it."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).view(np.uint64)
+
+
+def vector_stage_outcome(solve, h):
+    """Every SpectrumBatch array, floats and complexes as bits(), or the
+    error's (type, message)."""
+    try:
+        batch = solve(np.array(h, dtype=complex))
+    except es.SolverError as err:
+        return type(err).__name__, str(err)
+    return [a if a.dtype == bool else bits(a) for a in vars(batch).values()]
+
+
+def assert_same_vector_stage(h):
+    got = vector_stage_outcome(solve_spectrum_batch, h)
+    want = vector_stage_outcome(stack_major_spectrum, h)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, list)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def assert_same_vector_stage_at(monkeypatch, h, values):
+    """As assert_same_vector_stage, with the root stage's answer replaced
+    by `values`: pivots the roots never give (ties, NaN) reach the loop."""
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(es, "eigenvalues_batch", lambda _: values.copy())
+        assert_same_vector_stage(h)
+
+
+@pytest.mark.parametrize("steps", [101, 2001])
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_vector_stage_keeps_every_bit_on_presets(pid, steps):
+    assert_same_vector_stage(grid_hamiltonians(preset(pid), steps))
+
+
+@pytest.mark.parametrize("steps", [101, 2001])
+@pytest.mark.parametrize("order", range(2, 9))
+def test_vector_stage_keeps_every_bit_on_star_scenarios(order, steps):
+    # star6 to star8 fail their checks at 2001 points: the messages must agree
+    assert_same_vector_stage(grid_hamiltonians(scenario_from_dict(star_spec(order, steps)), steps))
+
+
+@pytest.mark.parametrize("family", ["clustered", "diagonal", "rotated"])
+def test_vector_stage_keeps_every_bit_on_degenerate_spectra(family):
+    matrices = {
+        "clustered": clustered_spectra,
+        "diagonal": diagonal_crossings,
+        "rotated": lambda: (h for h, _ in rotated_crossings()),
+    }[family]()
+    matrices = list(matrices)
+    for h in matrices:
+        assert_same_vector_stage(h[None])
+    for stack in by_order(matrices):
+        assert_same_vector_stage(stack)
+
+
+def test_vector_stage_keeps_every_bit_on_the_twin_grid():
+    assert_same_vector_stage(twin_fig1_grid())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vector_stage_keeps_every_bit_on_tied_pivots(monkeypatch, n):
+    # integer diagonals, as they are and permuted, shifted by integers and
+    # half-integers: pivots of equal modulus, tiny or not, in every column
+    rng = np.random.default_rng(300 + n)
+    d = np.arange(1.0, n + 1.0) + 0.5j
+    stack = []
+    for _ in range(40):
+        perm = np.eye(n)[rng.permutation(n)]
+        stack += [np.diag(d), perm @ np.diag(d) @ perm.T, np.diag(d[rng.integers(0, n, size=n)])]
+    h = np.array(stack, dtype=complex)
+    shifts = rng.integers(1, n + 1, size=(len(h), n)) + 0.5 * rng.integers(0, 2, size=(len(h), n))
+    values = np.sort(shifts, axis=1) + 0.5j
+    assert_same_vector_stage_at(monkeypatch, h, values)
+    # duplicated rows and rows scaled by 1j: ties in the elimination's pivots
+    for stack in awkward_stacks(rng, n)[2::2]:
+        assert_same_vector_stage(stack)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vector_stage_keeps_every_bit_on_nan_pivots(monkeypatch, n):
+    # argmin takes the first NaN pivot where the stable argsort puts it last.
+    # A NaN in the last column reaches the last pivot alone, so the two
+    # differ there; far shifts keep the rows in place, so the sort's column
+    # gives a finite vector. NaN and infinite eigenvalues spoil every pivot
+    rng = np.random.default_rng(400 + n)
+    plain, _, _, huge, _ = awkward_stacks(rng, n)
+    values = eigenvalues_batch(plain)
+    last_column = plain.copy()
+    last_column[::2, rng.integers(0, n, size=100), n - 1] = np.nan
+    far = np.full(values.shape, -100.0 + 0j)
+    spoiled = values.copy()
+    spoiled[::3, rng.integers(0, n)] = np.nan
+    spoiled[1::7, 0] = complex(np.inf, 0.0)
+    spoiled[2::5, n - 1] = complex(np.nan, 1.0)
+    for h, v in ((last_column, values), (last_column, far), (plain, spoiled), (huge, values), (huge, spoiled)):
+        assert_same_vector_stage_at(monkeypatch, h, v)
+        assert_same_vector_stage_at(monkeypatch, h[5:6], v[5:6])
+
+
+def test_vector_stage_peak_memory_is_no_higher():
+    # one solve of a full fig4 block: one point-major copy of the block and
+    # its shifted copy, where the stack-major stage held its shift product,
+    # the transposed copy and u transposed back
+    h = grid_hamiltonians(preset("fig4"), es.SOLVE_BLOCK)
+
+    def peak(solve):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve(h)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak(solve_spectrum_batch) <= peak(stack_major_spectrum)
+
+
 def test_eigenvectors_satisfy_eigenvalue_equation():
     rng = np.random.default_rng(53)
     h = random_symmetric(rng, 4, m=300)
@@ -1079,8 +1368,8 @@ def test_biorthogonality_of_separated_pairs():
 
 
 def test_biorthogonality_error_names_the_batch_index(monkeypatch):
-    def spoil_second_matrix(vectors, defective, bilinear):
-        vectors = _canonicalize(vectors, defective, bilinear).copy()
+    def spoil_second_matrix(*args):
+        vectors = _canonicalize(*args).copy()
         vectors[1, 1] = vectors[1, 0]  # duplicate direction in matrix 1 only
         return vectors
 
@@ -1157,8 +1446,8 @@ def test_near_coalescence_roots_follow_closed_form():
 def test_biorthogonality_check_flags_duplicate_direction(monkeypatch):
     # a solver bug that hands two well-separated eigenvalues one shared
     # direction must not pass silently
-    def duplicate_direction(vectors, defective, bilinear):
-        vectors = _canonicalize(vectors, defective, bilinear).copy()
+    def duplicate_direction(*args):
+        vectors = _canonicalize(*args).copy()
         vectors[:, 1] = vectors[:, 0]
         return vectors
 
@@ -1174,8 +1463,8 @@ def spoil_two_rows(monkeypatch, nan_row, duplicate_row):
     counting rows across calls as solve_at solves its blocks in order."""
     done = []
 
-    def spoil(vectors, defective, bilinear):
-        vectors = _canonicalize(vectors, defective, bilinear).copy()
+    def spoil(*args):
+        vectors = _canonicalize(*args).copy()
         rows = sum(done) + np.arange(len(vectors))
         done.append(len(vectors))
         vectors[rows == nan_row, 0, 0] = np.nan
@@ -1263,8 +1552,8 @@ def test_gated_check_passes_where_the_full_check_passes(pid, monkeypatch):
 def test_gated_check_names_a_spoiled_vector_in_a_full_block(row, monkeypatch):
     # one vector leans 1e-6 towards its neighbour at `row` of a 4096-row
     # block; a second, smaller lean later on must not be named
-    def spoil(vectors, defective, bilinear):
-        vectors = _canonicalize(vectors, defective, bilinear).copy()
+    def spoil(*args):
+        vectors = _canonicalize(*args).copy()
         vectors[row, 1] += 1e-6 * vectors[row, 2]
         vectors[(row + 7) % es.SOLVE_BLOCK, 1] += 1e-7 * vectors[(row + 7) % es.SOLVE_BLOCK, 2]
         return vectors

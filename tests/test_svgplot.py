@@ -280,3 +280,51 @@ def test_flat_width_range_is_padded():
     per_px = (v1 - v0) / (y0 - y1)
     assert abs(v0 + (y0 - bottom) * per_px - 0.45) < 1e-4
     assert abs(v0 + (y0 - top) * per_px - 0.55) < 1e-4
+
+
+def test_axes_cover_the_finite_values_and_map_in_place():
+    # the y range is that of the finite values alone; sy into `out` gives the
+    # bits of the out-of-place formula, which also maps the ticks
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(6, 500))
+    rows[rng.integers(0, 6, size=40), rng.integers(0, 500, size=40)] = np.nan
+    rows[0, 7], rows[3, 9] = np.inf, -np.inf
+    result = replace(sweep("fig1", 500), a=np.linspace(0.0, 1.5, 500))
+    sx, sy, _, (y_lo, y_hi) = svgplot._axes(result, rows)
+    finite = rows[np.isfinite(rows)]
+    pad = 0.04 * (finite.max() - finite.min())
+    assert (y_lo, y_hi) == (finite.min() - pad, finite.max() + pad)
+    want = svgplot._PY1 - (rows - y_lo) / (y_hi - y_lo) * (svgplot._PY1 - svgplot._PY0)
+    got = rows.copy()
+    assert sy(got, out=got) is got
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sy(float(rows[1, 1])) == want[1, 1]
+
+
+def test_panel_without_a_finite_value_is_refused():
+    result = sweep("fig1", 101)
+    nowhere = np.full(result.bare.shape, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        svgplot._panel(result, "E", nowhere, nowhere)
+
+
+def test_panel_memory_is_the_stacked_rows_and_the_simplifier():
+    # the panel maps its own stacked copy of the rows in place and takes the
+    # y range without a copy of the finite values: its peak is that copy and
+    # what _keep may hold (test_keep_memory_is_bounded), where the scaled
+    # copy, its temporaries and the finite values took 6.4 MB more here
+    m = 10**5
+    a = np.linspace(0.0, 1.5, m)
+    k = np.arange(4)
+    branches = np.sin(3.0 * a[:, None] + k) + 0.1 * k
+    bare = 1.0 - a[:, None] / 2 + 0.05 * k
+    result = replace(sweep("fig1", 101), a=a)
+    rows = 2 * branches.shape[1]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        svgplot._panel(result, "E", branches, bare)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * m + 2 * rows * m + 12 * 8 * m
